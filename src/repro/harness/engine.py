@@ -24,7 +24,8 @@ Persistence has three layers, all rooted at ``cache_dir``:
   workers and all later runs;
 * ``cells/``   — content-addressed finished-cell records keyed by
   :func:`cell_cache_key`, so re-runs and flag ablations skip unchanged
-  cells entirely (zero model re-evaluations on a warm cache);
+  cells entirely (zero model re-evaluations on a warm cache) — both
+  digest-framed :class:`repro.diskstore.KeyedStore` s;
 * ``journal.jsonl`` / ``journal-<i>of<n>.jsonl`` — append-only
   per-(campaign, shard) journals (:mod:`repro.harness.journalstore`);
   an interrupted campaign resumes (``resume=True``) by replaying the
@@ -48,10 +49,8 @@ import dataclasses
 import enum
 import hashlib
 import json
-import logging
 import math
 import os
-import tempfile
 import time
 from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
@@ -62,6 +61,7 @@ from pathlib import Path
 
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import STUDY_VARIANTS
+from repro.diskstore import KeyedStore
 from repro.errors import HarnessError
 from repro.faults.plan import FaultInjector, FaultPlan, RetryPolicy
 from repro.faults.taxonomy import SITE_CACHE, SITE_WORKER
@@ -107,8 +107,6 @@ from repro.telemetry import (
     telemetry_block,
 )
 from repro.telemetry.history import summarize_histograms
-
-_LOG = logging.getLogger(__name__)
 
 #: Bumped when the engine's journal/cell formats change incompatibly.
 ENGINE_VERSION = 1
@@ -308,76 +306,31 @@ def cell_cache_key(
     return hashlib.sha256("|".join(parts).encode()).hexdigest()
 
 
-def _atomic_write_text(path: Path, text: str) -> bool:
-    """Write ``text`` to ``path`` via temp file + ``os.replace``.
-
-    Returns ``False`` (after logging) when the write failed, so callers
-    can count the miss instead of mistaking it for success; the temp
-    file is removed on every path, including a failed ``os.replace``.
-    """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-        return True
-    except OSError as exc:
-        _LOG.warning("atomic write to %s failed: %s", path, exc)
-        return False
-    finally:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass  # the success path already renamed it away
-
-
 class CellCache:
     """On-disk store of finished cell records, keyed by content hash.
 
     Lookups record ``cell_cache.hit`` / ``cell_cache.miss`` metrics on
-    the active telemetry; a corrupt or truncated entry (e.g. from a
-    machine crash mid-``os.replace``, or disk rot) is treated as a miss:
-    it is deleted, logged, and counted as ``cell_cache.corrupt`` — never
-    raised to the campaign.
+    the active telemetry; a corrupt entry (digest mismatch or an
+    undecodable record) is a miss that the :class:`KeyedStore` drops
+    and counts as ``cell_cache.corrupt`` — never raised to the
+    campaign.  A failed write is counted as ``cell_cache.write_error``:
+    the record is still in memory and in the journal, only the
+    warm-cache shortcut for later runs is lost.
     """
 
     def __init__(self, root: "str | Path") -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
+        self.store = KeyedStore(root, ".json", "cell_cache")
 
     def get(self, key: str) -> RunRecord | None:
-        path = self._path(key)
-        try:
-            text = path.read_text()
-        except OSError:
-            telemetry.count("cell_cache.miss")
-            return None
-        try:
-            doc = json.loads(text)
-            record = record_from_dict(doc["record"])
-        except (ValueError, KeyError, TypeError, HarnessError):
-            telemetry.count("cell_cache.miss")
-            telemetry.count("cell_cache.corrupt")
-            _LOG.warning("corrupt cell-cache entry %s; dropping it", path.name)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        telemetry.count("cell_cache.hit")
+        record = self.store.load(
+            key, lambda data: record_from_dict(json.loads(data)["record"]))
+        telemetry.count("cell_cache.miss" if record is None else "cell_cache.hit")
         return record
 
     def put(self, key: str, record: RunRecord) -> None:
         doc = {"key": key, "record": record_to_dict(record)}
-        if _atomic_write_text(self._path(key), json.dumps(doc)):
+        if self.store.put(key, json.dumps(doc).encode()):
             telemetry.count("cell_cache.put")
-        else:
-            # The record is still in memory and in the journal; only the
-            # warm-cache shortcut for later runs is lost.
-            telemetry.count("cell_cache.write_error")
 
 
 # -- journal -------------------------------------------------------------
@@ -924,7 +877,7 @@ class CampaignEngine:
         if journal is not None:
             # Append-only by construction: a matching existing journal
             # is opened with "a" (its records never leave the disk), a
-            # fresh header goes through temp file + os.replace.  There
+            # fresh header goes through atomic_write.  There
             # is no instant at which a kill can lose checkpointed cells.
             persisted = journal.start(
                 fingerprint,

@@ -13,8 +13,8 @@ subsystem:
     every instant, closing the historical data-loss window where the
     engine opened the journal with mode ``"w"`` and crashed before
     re-persisting the replayed records.  Fresh headers are written via
-    temp file + ``os.replace`` so even a deliberate restart never
-    leaves a half-written journal behind.
+    :func:`repro.diskstore.atomic_write` so even a deliberate restart
+    never leaves a half-written journal behind.
 
 :func:`shard_cells` / :func:`shard_of`
     The deterministic shard assignment over canonical (benchmark-major)
@@ -54,12 +54,12 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
+from repro.diskstore import atomic_write
 from repro.errors import HarnessError
 from repro.harness.results import (
     FAILURE_STATUSES,
@@ -167,8 +167,9 @@ class CampaignJournal:
     matching existing journal instead of rewriting it — checkpointed
     records never leave the disk, so there is no instant at which a
     crash can lose them.  A fresh header (new campaign, or ``keep``
-    unset) goes through temp file + ``os.replace``, so the previous
-    journal file stays intact until the replacement is durable.
+    unset) goes through :func:`repro.diskstore.atomic_write`, so the
+    previous journal file stays intact until the replacement is in
+    place; a failed header write raises ``OSError``.
     """
 
     def __init__(self, path: "str | Path") -> None:
@@ -212,17 +213,7 @@ class CampaignJournal:
             "shard": list(shard),
             "cells": [list(c) for c in cells],
         }
-        fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(header) + "\n")
-            os.replace(tmp, self.path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self.path, (json.dumps(header) + "\n").encode())
         self._fh = open(self.path, "a")
         return set()
 

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
-import os
 import pickle
-import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,10 +20,9 @@ from repro import telemetry
 from repro.compilers.base import CompiledKernel, CompileStatus
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import compile_kernel
+from repro.diskstore import KeyedStore
 from repro.errors import HarnessError
 from repro.faults.taxonomy import SITE_KERNEL_CACHE
-
-_LOG = logging.getLogger(__name__)
 from repro.libs.mathlib import library_time_s
 from repro.machine.machine import Machine
 from repro.machine.topology import Placement
@@ -72,7 +68,8 @@ class ModelResult:
 #: 2: CompiledKernel grew the ``lint`` field (static-analysis findings).
 #: 3: lint findings now include the cross-compiler divergence rules
 #:    (DIV001-DIV005), so cached ``lint`` tuples are incomplete.
-CACHE_SCHEMA_VERSION = 3
+#: 4: entries carry a sha256 digest line ahead of the payload.
+CACHE_SCHEMA_VERSION = 4
 
 
 def kernel_fingerprint(kernel: object) -> str:
@@ -180,8 +177,10 @@ class CompilationCache:
     With ``persist_dir`` set, compiled kernels are additionally stored
     on disk under their :func:`compilation_cache_key`, so later runs
     (and sibling worker processes) skip recompilation of unchanged
-    kernels.  Writes are atomic (temp file + rename); unreadable or
-    stale entries are recompiled and rewritten.
+    kernels.  Entries live in a digest-framed
+    :class:`~repro.diskstore.KeyedStore`: a rotted or undecodable entry
+    is a corrupt miss (``kernel_cache.corrupt``), recompiled and
+    rewritten.
 
     With an ``injector`` attached (chaos runs), a
     :class:`~repro.faults.plan.FaultRule` aimed at the ``kernel-cache``
@@ -200,8 +199,8 @@ class CompilationCache:
         #: the whole IR; do it once per kernel object).
         self._stable_keys: dict[tuple, str] = {}
         self.persist_dir = Path(persist_dir) if persist_dir is not None else None
-        if self.persist_dir is not None:
-            self.persist_dir.mkdir(parents=True, exist_ok=True)
+        self.store = (KeyedStore(self.persist_dir, ".pkl", "kernel_cache")
+                       if self.persist_dir is not None else None)
         #: A :class:`~repro.faults.plan.FaultInjector` (or ``None``)
         #: consulted at the ``kernel-cache`` site before disk reads.
         self.injector = injector
@@ -209,10 +208,6 @@ class CompilationCache:
         self.memory_hits = 0
         self.disk_hits = 0
         self.fault_misses = 0
-
-    def _disk_path(self, stable_key: str) -> Path:
-        assert self.persist_dir is not None
-        return self.persist_dir / f"{stable_key}.pkl"
 
     def get(
         self,
@@ -227,12 +222,11 @@ class CompilationCache:
             self.memory_hits += 1
             telemetry.count("kernel_cache.memory_hit")
             return hit
-        if self.persist_dir is not None:
+        if self.store is not None:
             stable = self._stable_keys.get(key)
             if stable is None:
                 stable = compilation_cache_key(variant, kernel, machine, flags)
                 self._stable_keys[key] = stable
-            path = self._disk_path(stable)
             if self._kernel_cache_fault(variant, kernel):
                 # Injected kernel-cache loss (simulated scratch-file
                 # rot): skip the disk entry and recompile below.  The
@@ -243,23 +237,19 @@ class CompilationCache:
                 telemetry.count("faults.injected")
                 telemetry.count(f"faults.site.{SITE_KERNEL_CACHE}")
             else:
-                try:
-                    with open(path, "rb") as fh:
-                        compiled = pickle.load(fh)
+                compiled = self.store.load(stable, pickle.loads)
+                if compiled is not None:
                     self.disk_hits += 1
                     telemetry.count("kernel_cache.disk_hit")
                     self._cache[key] = compiled
                     return compiled
-                except (OSError, pickle.PickleError, EOFError, AttributeError):
-                    pass  # missing or unreadable entry: recompile below
         compiled = _memoized_compile(variant, kernel, machine, flags)
         self.compile_count += 1
         telemetry.count("kernel_cache.compile")
         self._cache[key] = compiled
-        if self.persist_dir is not None:
-            self._persist(self._stable_keys[key] if key in self._stable_keys
-                          else compilation_cache_key(variant, kernel, machine, flags),
-                          compiled)
+        if self.store is not None:
+            # A failed write only costs a recompile next session.
+            self.store.put(stable, pickle.dumps(compiled))
         return compiled
 
     def _kernel_cache_fault(self, variant: str, kernel: object) -> bool:
@@ -271,26 +261,6 @@ class CompilationCache:
             self.injector.decide(SITE_KERNEL_CACHE, name, variant, 0)
             is not None
         )
-
-    def _persist(self, stable_key: str, compiled: CompiledKernel) -> None:
-        assert self.persist_dir is not None
-        fd, tmp = tempfile.mkstemp(dir=self.persist_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(compiled, fh)
-            os.replace(tmp, self._disk_path(stable_key))
-        except OSError as exc:
-            # A failed persist only costs a recompile next session.
-            _LOG.warning(
-                "kernel-cache write to %s failed: %s",
-                self._disk_path(stable_key), exc,
-            )
-            telemetry.count("kernel_cache.write_error")
-        finally:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass  # the success path already renamed it away
 
 
 def _rank_geometry(bench: Benchmark, machine: Machine, placement: Placement) -> tuple[int, int, float]:

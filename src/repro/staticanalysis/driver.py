@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import telemetry
+from repro.diskstore import KeyedStore
 from repro.ir.dependence import Dependence, nest_dependences
 from repro.ir.kernel import Kernel
 from repro.ir.loop import LoopNest
@@ -53,7 +54,8 @@ FINDINGS_COUNTER_PREFIX = "lint.findings."
 #: Bump when rules, the dataflow framework, or the divergence analyzer
 #: change what they emit — stale entries then miss instead of serving
 #: findings from an older rule set.
-ANALYSIS_SCHEMA_VERSION = 1
+#: 2: entries carry a sha256 digest line ahead of the payload.
+ANALYSIS_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -180,11 +182,14 @@ class AnalysisCache:
     Keys combine the kernel IR fingerprint, the machine fingerprint,
     and :data:`ANALYSIS_SCHEMA_VERSION`, so editing a kernel, switching
     machine models, or upgrading the rule set all miss cleanly.
-    Corrupt or unreadable entries count as misses and are overwritten.
+    Entries live in a digest-framed :class:`~repro.diskstore.KeyedStore`:
+    corrupt or undecodable entries count as misses
+    (``analysis_cache.corrupt``) and are dropped, and a failed write is
+    counted as ``analysis_cache.write_error``.
     """
 
     def __init__(self, root: "Path | str") -> None:
-        self.root = Path(root)
+        self.store = KeyedStore(root, ".json", "analysis_cache")
         self.hits = 0
         self.misses = 0
 
@@ -199,23 +204,11 @@ class AnalysisCache:
         )
         return hashlib.sha256(payload.encode()).hexdigest()
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
     def get(self, kernel: Kernel, machine: Machine) -> "tuple[Diagnostic, ...] | None":
-        path = self._path(self.key(kernel, machine))
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            diags = tuple(Diagnostic.from_dict(d) for d in doc["diagnostics"])
-        except FileNotFoundError:
+        diags = self.store.load(self.key(kernel, machine), _decode_diagnostics)
+        if diags is None:
             self.misses += 1
             telemetry.count("analysis_cache.miss")
-            return None
-        except (OSError, ValueError, KeyError, TypeError):
-            # Corrupt entry: treat as a miss; put() will rewrite it.
-            self.misses += 1
-            telemetry.count("analysis_cache.miss")
-            telemetry.count("analysis_cache.corrupt")
             return None
         self.hits += 1
         telemetry.count("analysis_cache.hit")
@@ -229,14 +222,12 @@ class AnalysisCache:
             "kernel": kernel.name,
             "diagnostics": [d.to_dict() for d in diags],
         }
-        path = self._path(self.key(kernel, machine))
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-            tmp.replace(path)
-        except OSError:
-            telemetry.count("analysis_cache.write_error")
+        self.store.put(self.key(kernel, machine),
+                       json.dumps(doc, sort_keys=True).encode())
+
+
+def _decode_diagnostics(data: bytes) -> tuple[Diagnostic, ...]:
+    return tuple(Diagnostic.from_dict(d) for d in json.loads(data)["diagnostics"])
 
 
 # -- per-benchmark memo for the campaign engine ----------------------------

@@ -20,6 +20,7 @@ from repro.harness.engine import (
     benchmark_fingerprint,
     cell_cache_key,
 )
+from repro.diskstore import KeyedStore
 from repro.harness.results import CampaignResult, RunRecord
 from repro.telemetry import SPAN_CELL, Telemetry
 from repro.ir import KernelBuilder, Language, read, update
@@ -374,34 +375,78 @@ class TestEventFormatting:
         assert line.endswith("runtime error")
 
 
+def _digit_flipped(data: bytes) -> bytes:
+    """``data`` with its last ASCII digit changed: a one-byte rot that
+    a JSON or pickle decoder may well accept."""
+    i = max(i for i, byte in enumerate(data) if 0x30 <= byte <= 0x39)
+    return data[:i] + bytes([0x30 + (data[i] - 0x30 + 1) % 10]) + data[i + 1:]
+
+
+def _cell_cache_case(root, machine):
+    CellCache(root).put("k1", RunRecord("s.b", "s", "GNU", 1, 1, (1.0, 1.25)))
+    return (lambda: CellCache(root).get("k1"),
+            b'{"key": "k1", "record": {"benchmark": "s.b"}}')
+
+
+def _kernel_cache_case(root, machine):
+    CompilationCache(persist_dir=root).get("GNU", _gemm(), machine, GNU_FLAGS)
+    return (lambda: CompilationCache(persist_dir=root).get(
+                "GNU", _gemm(), machine, GNU_FLAGS),
+            b"not a pickle")
+
+
+def _analysis_cache_case(root, machine):
+    from repro.staticanalysis.driver import AnalysisCache, analyze_kernel
+
+    kernel = _gemm()
+    AnalysisCache(root).put(kernel, machine, analyze_kernel(kernel, machine=machine))
+    return (lambda: AnalysisCache(root).get(kernel, machine),
+            b'{"diagnostics": [{"rule": "OPT010"}]}')
+
+
 class TestCellCacheCorruption:
-    """Satellite: corrupt cache entries become misses, not crashes."""
+    """Corrupt entries in any of the three content-addressed caches
+    become counted misses, never crashes or silently wrong values."""
+
+    CACHES = {
+        "cell": _cell_cache_case,
+        "kernel": _kernel_cache_case,
+        "analysis": _analysis_cache_case,
+    }
+
+    @pytest.mark.parametrize("rot", ["truncated", "flipped", "undecodable"])
+    @pytest.mark.parametrize("cache", list(CACHES))
+    def test_corrupt_entry_misses(self, cache, rot, tmp_path, a64fx_machine):
+        lookup, undecodable = self.CACHES[cache](tmp_path, a64fx_machine)
+        name = f"{cache}_cache"
+        [entry] = list(tmp_path.iterdir())
+        good = lookup()
+        data = entry.read_bytes()
+        if rot == "truncated":
+            entry.write_bytes(data[:len(data) // 2])
+        elif rot == "flipped":
+            entry.write_bytes(_digit_flipped(data))
+        else:  # intact framing around a payload the cache cannot decode
+            KeyedStore(tmp_path, entry.suffix, name).put(entry.stem, undecodable)
+        tel = Telemetry()
+        with telemetry.active(tel):
+            got = lookup()
+        assert tel.metrics.counter_value(f"{name}.corrupt") == 1
+        if cache == "kernel":
+            # Recompiled, identical, and persisted again.
+            assert tel.metrics.counter_value("kernel_cache.compile") == 1
+            assert tel.metrics.counter_value("kernel_cache.disk_hit") == 0
+            assert got == good
+            assert entry.read_bytes() == data
+        else:
+            assert got is None
+            assert tel.metrics.counter_value(f"{name}.miss") == 1
+            assert not entry.exists()  # dropped
 
     def _put(self, tmp_path):
         cache = CellCache(tmp_path)
         cache.put("good", RunRecord("s.b", "s", "GNU", 1, 1, (1.0,)))
         return cache
-
-    def test_truncated_json_deleted_and_counted(self, tmp_path):
-        cache = self._put(tmp_path)
-        (tmp_path / "trunc.json").write_text('{"key": "trunc", "record": {"ben')
-        tel = Telemetry()
-        with telemetry.active(tel):
-            assert cache.get("trunc") is None
-        assert not (tmp_path / "trunc.json").exists()  # dropped
-        assert tel.metrics.counter_value("cell_cache.corrupt") == 1
-        assert tel.metrics.counter_value("cell_cache.miss") == 1
-
-    def test_valid_json_missing_runs_is_corrupt(self, tmp_path):
-        cache = self._put(tmp_path)
-        (tmp_path / "norun.json").write_text(
-            json.dumps({"key": "norun", "record": {"benchmark": "s.b"}})
-        )
-        tel = Telemetry()
-        with telemetry.active(tel):
-            assert cache.get("norun") is None
-        assert not (tmp_path / "norun.json").exists()
-        assert tel.metrics.counter_value("cell_cache.corrupt") == 1
 
     def test_hit_miss_put_counters(self, tmp_path):
         tel = Telemetry()

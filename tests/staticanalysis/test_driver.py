@@ -1,6 +1,8 @@
 """Tests for the analysis driver: context memoization, caching,
 telemetry integration, and benchmark-level analysis."""
 
+import os
+
 from repro import telemetry
 from repro.ir import KernelBuilder, Language, read, write
 from repro.machine import a64fx, xeon
@@ -137,6 +139,35 @@ class TestAnalysisCache:
             if entry.is_file():
                 entry.write_text("{corrupt")
         assert cache.get(kernel, machine) is None
+
+    def test_interleaved_puts_of_one_key(self, tmp_path, monkeypatch):
+        """Two writers of one key (two shards linting into one cache
+        dir) each write their own temp file: neither write fails, and
+        the entry left behind is whole."""
+        kernel = racy_kernel()
+        machine = a64fx()
+        cache = AnalysisCache(tmp_path / "analysis")
+        diags = analyze_kernel(kernel, machine=machine)
+        real_replace = os.replace
+        renames = []
+
+        def interleaved(src, dst):
+            renames.append(dst)
+            if len(renames) == 1:
+                # The second writer runs between the first one's write
+                # and its rename.
+                cache.put(kernel, machine, diags)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", interleaved)
+        tel = Telemetry()
+        with telemetry.active(tel):
+            cache.put(kernel, machine, diags)
+        monkeypatch.undo()
+        assert len(renames) == 2
+        assert tel.metrics.counter_value("analysis_cache.write_error") == 0
+        assert len(list((tmp_path / "analysis").iterdir())) == 1
+        assert AnalysisCache(tmp_path / "analysis").get(kernel, machine) == diags
 
     def test_keyed_by_machine(self, tmp_path):
         kernel = racy_kernel()
