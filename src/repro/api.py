@@ -1,8 +1,7 @@
 """The public campaign API: configure once, run, observe typed events.
 
 This module is the single documented entry point for running
-measurement campaigns.  It replaces the ad-hoc kwargs surface of
-``run_campaign()``/``run_benchmark()`` with three small types:
+measurement campaigns, through three small types:
 
 :class:`CampaignConfig`
     A frozen, fully-serializable description of *what* to run and
@@ -60,9 +59,6 @@ Quickstart (auto-tuning)::
     result = run_tune(TuneSpec(scenario="gemm-int8-sdot",
                                strategy="successive-halving"))
     print(result.best_label, result.best_detail["efficiency"])
-
-The legacy ``run_campaign()``/``run_benchmark()`` shims emit
-``DeprecationWarning`` and will be removed in 2.0.
 """
 
 from __future__ import annotations

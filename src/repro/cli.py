@@ -40,7 +40,7 @@ Usage::
         [--samples N] [--eta K] [--seed N]
         [--trials N] [--min-trials N]
         [--cache-dir DIR] [--resume] [--shard I/N]
-        [--workers N] [--out tune.json]           # (see docs/TUNING.md)
+        [--out tune.json]                         # (see docs/TUNING.md)
 """
 
 from __future__ import annotations
@@ -733,7 +733,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         cache_dir=args.cache_dir,
         resume=args.resume,
         shard=args.shard,
-        workers=args.workers,
     )
     recorder = telemetry_mod.Telemetry() if args.metrics else None
     with telemetry_mod.active(recorder):
@@ -1161,10 +1160,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="evaluate every N-th candidate only (1-based shard of each "
              "strategy batch); shards share --cache-dir and re-run with "
              "--resume until the search completes",
-    )
-    p_tune.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes for batch evaluation (default: 1, serial)",
     )
     p_tune.add_argument(
         "--metrics", action="store_true",

@@ -3,14 +3,16 @@ caching, and checkpoint/resume.
 
 The paper's full study is a 108-benchmark x 5-compiler grid whose 540
 cells are independent of one another (each cell runs its own
-exploration sweep and performance runs); ``run_campaign()`` walked them
-in one blocking serial loop.  :class:`CampaignEngine` decomposes the
-grid into :class:`CellTask` s and executes them
+exploration sweep and performance runs).  :class:`CampaignEngine`
+decomposes the grid into :class:`CellTask` s and executes them
 
-* serially (``workers=1``), bit-identical to the legacy loop, or
+* serially (``workers=1``) in-process, or
 * across worker processes (``concurrent.futures.ProcessPoolExecutor``),
   chunked benchmark-major so a worker reuses compiled kernels across
   the five variants of a benchmark.
+
+Every path runs a cell through the same :func:`_execute_cell`, with the
+run settings carried by one :class:`ChunkPayload`.
 
 Because the model (and its lognormal noise, seeded by sha256 of the
 run identity) is fully deterministic, the parallel path produces
@@ -52,12 +54,12 @@ import json
 import math
 import os
 import time
-from collections import OrderedDict
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TypeVar
 
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import STUDY_VARIANTS
@@ -88,6 +90,7 @@ from repro.harness.runner import (
 )
 from repro.machine.a64fx import a64fx
 from repro.machine.machine import Machine
+from repro.memo import IdentityMemo
 from repro.perf.cost import (
     CACHE_SCHEMA_VERSION,
     CompilationCache,
@@ -190,18 +193,12 @@ EventHandler = Callable[[CampaignEvent], None]
 # -- content-addressed cell cache ----------------------------------------
 
 
-#: Fingerprint memo keyed by object identity; a live entry retains the
-#: benchmark reference, pinning the id so it cannot be reused by a new
-#: object while the entry exists.  Registry benchmarks come from the
-#: lru-cached suite registry and stay resident, but long-lived sessions
-#: fingerprinting ad-hoc :class:`Benchmark` objects would otherwise
-#: grow the memo without limit — it is therefore an LRU bounded at
-#: :data:`_BENCH_FINGERPRINTS_MAX` entries (identity checks on lookup
-#: guard the evict-then-reuse corner).
-_BENCH_FINGERPRINTS: "OrderedDict[int, tuple[Benchmark, str]]" = OrderedDict()
-
-#: Comfortably above the study's 108 benchmarks plus ad-hoc churn.
-_BENCH_FINGERPRINTS_MAX = 1024
+#: Fingerprint memo by benchmark identity.  Registry benchmarks come
+#: from the lru-cached suite registry and stay resident, but long-lived
+#: sessions fingerprinting ad-hoc :class:`Benchmark` objects would
+#: otherwise grow it without limit; the bound is comfortably above the
+#: study's 108 benchmarks plus ad-hoc churn.
+_BENCH_FINGERPRINTS: "IdentityMemo[str]" = IdentityMemo(1024)
 
 
 def _canonical(obj: object) -> object:
@@ -259,16 +256,10 @@ def benchmark_fingerprint(bench: Benchmark) -> str:
     serialization of the dataclass tree that is identical across
     processes and hash seeds.
     """
-    memo = _BENCH_FINGERPRINTS.get(id(bench))
-    if memo is not None and memo[0] is bench:
-        _BENCH_FINGERPRINTS.move_to_end(id(bench))
-        return memo[1]
-    canon = json.dumps(_canonical(bench), sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canon.encode()).hexdigest()
-    _BENCH_FINGERPRINTS[id(bench)] = (bench, digest)
-    _BENCH_FINGERPRINTS.move_to_end(id(bench))
-    while len(_BENCH_FINGERPRINTS) > _BENCH_FINGERPRINTS_MAX:
-        _BENCH_FINGERPRINTS.popitem(last=False)
+    digest = _BENCH_FINGERPRINTS.get(bench)
+    if digest is None:
+        digest = _BENCH_FINGERPRINTS.put(
+            bench, hashlib.sha256(canonical(bench).encode()).hexdigest())
     return digest
 
 
@@ -341,7 +332,85 @@ class CellCache:
 # is re-exported above for compatibility with existing imports.
 
 
-# -- worker side ---------------------------------------------------------
+# -- cell execution ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CellTask:
+    """One independent unit of campaign work."""
+
+    index: int
+    benchmark: Benchmark
+    variant: str
+
+    @property
+    def name(self) -> tuple[str, str]:
+        return (self.benchmark.full_name, self.variant)
+
+
+T = TypeVar("T")
+
+
+def benchmark_groups(
+    items: Iterable[T], task_of: Callable[[T], CellTask] = lambda item: item,
+) -> list[list[T]]:
+    """``items`` grouped by their task's benchmark, in first-seen order.
+
+    A group is the benchmark-major unit of pool work: a worker that runs
+    all of a benchmark's variants compiles each of its kernels once.
+    """
+    groups: dict[str, list[T]] = {}
+    for item in items:
+        groups.setdefault(task_of(item).benchmark.full_name, []).append(item)
+    return list(groups.values())
+
+
+@dataclass(frozen=True)
+class ChunkPayload:
+    """The run settings of a set of cells, and what one pool task ships.
+
+    The engine and the campaign service build one per pool task and
+    :func:`_run_chunk` unpacks it in the worker; the engine's in-process
+    paths read only the run settings.
+    """
+
+    machine: Machine
+    tasks: tuple[CellTask, ...] = ()
+    flags: "CompilerFlags | None" = None
+    runs: int = PERFORMANCE_RUNS
+    retry: "RetryPolicy | None" = None
+    timeout_s: "float | None" = None
+    fault_plan: "FaultPlan | None" = None
+    #: Persistent kernel cache directory shared by the workers.
+    kernel_dir: "str | None" = None
+    #: Record spans and metrics in the worker and ship them back.
+    telemetry_on: bool = False
+    #: Correlation context for structured logs buffered in the worker.
+    log_ctx: "dict | None" = None
+    #: Requeue count of this chunk; keys the worker-crash fault decision.
+    attempt: int = 0
+
+
+def _execute_cell(
+    payload: ChunkPayload,
+    task: CellTask,
+    cache: CompilationCache,
+    injector: "FaultInjector | None",
+) -> CellOutcome:
+    """Run one cell under its ``cell`` span and time it into the
+    ``engine.cell_s`` histogram: every execution path (serial loop,
+    pool worker, in-process fallback) runs its cells through here."""
+    t0 = time.monotonic()
+    with telemetry.span("cell", benchmark=task.benchmark.full_name,
+                        variant=task.variant, index=task.index):
+        outcome = run_cell(
+            task.benchmark, task.variant, payload.machine,
+            flags=payload.flags, cache=cache, runs=payload.runs,
+            injector=injector, retry=payload.retry, timeout_s=payload.timeout_s,
+        )
+    telemetry.observe("engine.cell_s", time.monotonic() - t0)
+    return outcome
+
 
 #: Per-worker-process compilation caches, keyed by (machine, cache dir)
 #: so consecutive chunks in the same worker share compiled kernels.
@@ -349,7 +418,7 @@ _WORKER_CACHES: dict[tuple[str, str], CompilationCache] = {}
 
 
 def _run_chunk(
-    payload: tuple,
+    payload: ChunkPayload,
 ) -> "tuple[list[tuple[int, CellOutcome]], dict | None, list[dict] | None]":
     """Execute one chunk of cell tasks inside a worker process.
 
@@ -368,41 +437,31 @@ def _run_chunk(
     injector is consulted once per cell before the chunk runs; a firing
     rule kills this worker with ``os._exit`` — an abrupt death the
     parent observes as :class:`BrokenProcessPool`, exactly like a real
-    OOM kill or node loss.  ``chunk_attempt`` keys those decisions so a
-    requeued chunk does not crash forever.
+    OOM kill or node loss.  ``payload.attempt`` keys those decisions so
+    a requeued chunk does not crash forever.
     """
-    (machine, flags, runs, kernel_dir, telemetry_on, log_ctx, items,
-     plan, retry, timeout_s, chunk_attempt) = payload
+    plan = payload.fault_plan
     injector = FaultInjector(plan) if plan is not None else None
     if injector is not None:
-        for _index, bench, variant in items:
-            crash = injector.decide(SITE_WORKER, bench.full_name, variant, chunk_attempt)
+        for task in payload.tasks:
+            crash = injector.decide(SITE_WORKER, task.benchmark.full_name,
+                                    task.variant, payload.attempt)
             if crash is not None:
                 os._exit(3)  # simulate the worker dying mid-chunk
-    cache_key = (machine.name, str(kernel_dir))
+    cache_key = (payload.machine.name, str(payload.kernel_dir))
     cache = _WORKER_CACHES.get(cache_key)
     if cache is None:
-        cache = CompilationCache(persist_dir=kernel_dir)
+        cache = CompilationCache(persist_dir=payload.kernel_dir)
         _WORKER_CACHES[cache_key] = cache
     # The cache outlives chunks (and campaigns) in this worker; aim the
     # current campaign's injector at it for kernel-cache chaos.
     cache.injector = injector
-    tel = Telemetry() if telemetry_on else None
-    logger = StructuredLogger() if log_ctx is not None else None
-    out: list[tuple[int, CellOutcome]] = []
+    tel = Telemetry() if payload.telemetry_on else None
+    logger = StructuredLogger() if payload.log_ctx is not None else None
     with telemetry.active(tel), telemetry.logging_active(logger):
-        with telemetry.context(**(log_ctx or {})):
-            for index, bench, variant in items:
-                t0 = time.monotonic()
-                with telemetry.span("cell", benchmark=bench.full_name,
-                                    variant=variant, index=index):
-                    outcome = run_cell(
-                        bench, variant, machine, flags=flags, cache=cache,
-                        runs=runs, injector=injector, retry=retry,
-                        timeout_s=timeout_s,
-                    )
-                telemetry.observe("engine.cell_s", time.monotonic() - t0)
-                out.append((index, outcome))
+        with telemetry.context(**(payload.log_ctx or {})):
+            out = [(task.index, _execute_cell(payload, task, cache, injector))
+                   for task in payload.tasks]
     return (
         out,
         tel.snapshot() if tel is not None else None,
@@ -413,24 +472,10 @@ def _run_chunk(
 # -- the engine ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellTask:
-    """One independent unit of campaign work."""
-
-    index: int
-    benchmark: Benchmark
-    variant: str
-
-    @property
-    def name(self) -> tuple[str, str]:
-        return (self.benchmark.full_name, self.variant)
-
-
 class CampaignEngine:
     """Decomposes a campaign into cell tasks and executes them.
 
-    Parameters mirror the legacy ``run_campaign()`` surface plus the
-    execution controls:
+    Parameters (the campaign's shape, then the execution controls):
 
     ``workers``
         1 (default) runs the deterministic serial loop in-process;
@@ -971,7 +1016,7 @@ class CampaignEngine:
 
         try:
             if self.workers == 1 or len(pending) <= 1:
-                self._run_serial(pending, kernel_dir, finish_outcome, send)
+                self._run_in_process(pending, kernel_dir, finish_outcome, send)
             else:
                 self._run_parallel(pending, kernel_dir, finish_outcome, send,
                                    tel, root, stats)
@@ -1105,58 +1150,38 @@ class CampaignEngine:
             send(EventKind.CACHE_HIT, task, record=record, from_cache=True,
                  message="resumed from journal")
 
-    def _run_serial(self, pending, kernel_dir, finish_outcome, send) -> None:
+    def _payload(self, tasks: Sequence[CellTask] = (), **fields) -> ChunkPayload:
+        """This campaign's run settings, plus ``tasks`` and the pool
+        transport ``fields`` of one chunk."""
+        return ChunkPayload(
+            machine=self.machine, tasks=tuple(tasks), flags=self.flags,
+            runs=self.runs, retry=self.retry_policy,
+            timeout_s=self.cell_timeout_s, fault_plan=self.fault_plan,
+            **fields,
+        )
+
+    def _run_in_process(self, tasks, kernel_dir, finish_outcome, send=None) -> None:
+        """Run ``tasks`` one after another in this process: the serial
+        path, and the fallback once the pool's restart budget is spent
+        (whose cells were announced when first queued, so it passes no
+        ``send``)."""
+        settings = self._payload()
         cache = CompilationCache(persist_dir=kernel_dir, injector=self._injector)
-        for task in pending:
-            send(EventKind.CELL_STARTED, task)
-            t0 = time.monotonic()
-            with telemetry.span("cell", benchmark=task.benchmark.full_name,
-                                variant=task.variant, index=task.index):
-                outcome = run_cell(
-                    task.benchmark, task.variant, self.machine,
-                    flags=self.flags, cache=cache, runs=self.runs,
-                    injector=self._injector, retry=self.retry_policy,
-                    timeout_s=self.cell_timeout_s,
-                )
-            telemetry.observe("engine.cell_s", time.monotonic() - t0)
-            finish_outcome(task, outcome)
+        for task in tasks:
+            if send is not None:
+                send(EventKind.CELL_STARTED, task)
+            finish_outcome(task, _execute_cell(settings, task, cache, self._injector))
 
     def _chunk(self, pending: list[CellTask]) -> list[list[CellTask]]:
-        """Benchmark-major chunks: a benchmark's variants stay together
-        so a worker's in-memory cache reuses its compiled kernels."""
-        groups: dict[str, list[CellTask]] = {}
-        for task in pending:
-            groups.setdefault(task.benchmark.full_name, []).append(task)
-        group_list = list(groups.values())
-        target_chunks = max(self.workers * 4, 1)
-        per_chunk = max(1, math.ceil(len(group_list) / target_chunks))
-        chunks: list[list[CellTask]] = []
-        for i in range(0, len(group_list), per_chunk):
-            chunks.append([t for g in group_list[i : i + per_chunk] for t in g])
-        return chunks
-
-    def _chunk_payload(self, chunk, kernel_dir, telemetry_on, attempt) -> tuple:
-        log_ctx = None
-        if telemetry.active_logger() is not None:
-            # The worker re-creates the parent's correlation scope so
-            # its records grep identically to serially-produced ones.
-            log_ctx = {
-                "campaign": self.campaign_fingerprint()[:12],
-                "shard": f"{self.shard[0]}of{self.shard[1]}",
-            }
-        return (
-            self.machine,
-            self.flags,
-            self.runs,
-            str(kernel_dir) if kernel_dir else None,
-            telemetry_on,
-            log_ctx,
-            [(t.index, t.benchmark, t.variant) for t in chunk],
-            self.fault_plan,
-            self.retry_policy,
-            self.cell_timeout_s,
-            attempt,
-        )
+        """Pack :func:`benchmark_groups` into about ``4 * workers``
+        chunks, so the pool stays busy while a benchmark's variants
+        stay together."""
+        group_list = benchmark_groups(pending)
+        per_chunk = max(1, math.ceil(len(group_list) / (self.workers * 4)))
+        return [
+            [t for g in group_list[i : i + per_chunk] for t in g]
+            for i in range(0, len(group_list), per_chunk)
+        ]
 
     def _run_parallel(self, pending, kernel_dir, finish_outcome, send,
                       tel=None, root=None, stats=None) -> None:
@@ -1179,6 +1204,14 @@ class CampaignEngine:
         for chunk, _attempt in queue:
             for task in chunk:
                 send(EventKind.CELL_STARTED, task)
+        log_ctx = None
+        if telemetry.active_logger() is not None:
+            # The worker re-creates the parent's correlation scope so
+            # its records grep identically to serially-produced ones.
+            log_ctx = {
+                "campaign": self.campaign_fingerprint()[:12],
+                "shard": f"{self.shard[0]}of{self.shard[1]}",
+            }
         restarts = 0
         while queue:
             requeue: list[tuple[list[CellTask], int]] = []
@@ -1186,7 +1219,10 @@ class CampaignEngine:
                 futures = {
                     pool.submit(
                         _run_chunk,
-                        self._chunk_payload(chunk, kernel_dir, tel is not None, attempt),
+                        self._payload(
+                            chunk, kernel_dir=str(kernel_dir) if kernel_dir else None,
+                            telemetry_on=tel is not None, log_ctx=log_ctx,
+                            attempt=attempt),
                     ): (chunk, attempt)
                     for chunk, attempt in queue
                 }
@@ -1234,16 +1270,5 @@ class CampaignEngine:
                     f"exhausted; running {len(leftovers)} remaining cell(s) "
                     f"in-process",
                 )
-                cache = CompilationCache(persist_dir=kernel_dir,
-                                         injector=self._injector)
-                for task in leftovers:
-                    with telemetry.span("cell", benchmark=task.benchmark.full_name,
-                                        variant=task.variant, index=task.index):
-                        outcome = run_cell(
-                            task.benchmark, task.variant, self.machine,
-                            flags=self.flags, cache=cache, runs=self.runs,
-                            injector=self._injector, retry=self.retry_policy,
-                            timeout_s=self.cell_timeout_s,
-                        )
-                    finish_outcome(task, outcome)
+                self._run_in_process(leftovers, kernel_dir, finish_outcome)
                 return

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from repro.faults.taxonomy import SITE_KERNEL_CACHE
 from repro.libs.mathlib import library_time_s
 from repro.machine.machine import Machine
 from repro.machine.topology import Placement
+from repro.memo import IdentityMemo
 from repro.perf.ecm import NestTime, nest_time
 from repro.perf.scaling import numa_spill_penalty, omp_region_overhead_s
 from repro.suites.base import Benchmark, ParallelKind, ScalingKind
@@ -97,20 +97,15 @@ def machine_fingerprint(machine: Machine) -> str:
 #: (a64fx() & co.) build a fresh frozen instance per call, so bare
 #: id() keys would miss across sessions while re-hashing the repr on
 #: every lookup would cost more than the model evaluation it guards.
-_MACHINE_KEYS: "OrderedDict[int, tuple[Machine, str]]" = OrderedDict()
-_MACHINE_KEYS_MAX = 64
+_MACHINE_KEYS: "IdentityMemo[str]" = IdentityMemo(64)
 
 
 def machine_memo_key(machine: Machine) -> str:
     """Content key for a machine instance, memoized by identity."""
-    memo = _MACHINE_KEYS.get(id(machine))
-    if memo is not None and memo[0] is machine:
-        _MACHINE_KEYS.move_to_end(id(machine))
-        return memo[1]
-    key = f"{machine.name}:{machine_fingerprint(machine)}"
-    _MACHINE_KEYS[id(machine)] = (machine, key)
-    if len(_MACHINE_KEYS) > _MACHINE_KEYS_MAX:
-        _MACHINE_KEYS.popitem(last=False)
+    key = _MACHINE_KEYS.get(machine)
+    if key is None:
+        key = _MACHINE_KEYS.put(
+            machine, f"{machine.name}:{machine_fingerprint(machine)}")
     return key
 
 
@@ -118,10 +113,8 @@ def machine_memo_key(machine: Machine) -> str:
 #: so equal inputs always produce an equal CompiledKernel; memoizing at
 #: the compile_kernel() call site means per-cache counters
 #: (compile_count, disk_hits, fault_misses) keep their semantics — only
-#: the redundant compilation *work* is skipped.  Keys pin the kernel
-#: object so ids cannot be recycled while an entry lives.
-_COMPILE_MEMO: "OrderedDict[tuple, tuple[object, CompiledKernel]]" = OrderedDict()
-_COMPILE_MEMO_MAX = 2048
+#: the redundant compilation *work* is skipped.
+_COMPILE_MEMO: "IdentityMemo[CompiledKernel]" = IdentityMemo(2048)
 
 
 def _memoized_compile(
@@ -136,15 +129,12 @@ def _memoized_compile(
     # fidelity wins over speed whenever telemetry is active.
     if telemetry.current() is not None:
         return compile_kernel(variant, kernel, machine, flags)  # type: ignore[arg-type]
-    key = (variant, id(kernel), machine_memo_key(machine), flags)
-    memo = _COMPILE_MEMO.get(key)
-    if memo is not None and memo[0] is kernel:
-        _COMPILE_MEMO.move_to_end(key)
-        return memo[1]
-    compiled = compile_kernel(variant, kernel, machine, flags)  # type: ignore[arg-type]
-    _COMPILE_MEMO[key] = (kernel, compiled)
-    if len(_COMPILE_MEMO) > _COMPILE_MEMO_MAX:
-        _COMPILE_MEMO.popitem(last=False)
+    extra = (variant, machine_memo_key(machine), flags)
+    compiled = _COMPILE_MEMO.get(kernel, extra)
+    if compiled is None:
+        compiled = _COMPILE_MEMO.put(
+            kernel, compile_kernel(variant, kernel, machine, flags),  # type: ignore[arg-type]
+            extra)
     return compiled
 
 

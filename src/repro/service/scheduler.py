@@ -59,7 +59,9 @@ from repro.harness.engine import (
     CampaignEngine,
     CellCache,
     CellTask,
+    ChunkPayload,
     EventKind,
+    benchmark_groups,
     cell_cache_key,
     _run_chunk,
 )
@@ -406,7 +408,9 @@ class CampaignScheduler:
             owned.append((task, key, fut))
             pending_order[task.name] = ("own", task, key, fut)
 
-        for batch in self._batched(owned):
+        # One benchmark's variants per pool task: the worker compiles
+        # each kernel once.
+        for batch in benchmark_groups(owned, lambda entry: entry[0]):
             if c.cancelled:
                 for _task, key, fut in batch:
                     if self._inflight.get(key) is fut:
@@ -489,14 +493,6 @@ class CampaignScheduler:
 
     # -- dispatch --------------------------------------------------------
 
-    def _batched(self, owned):
-        """Benchmark-major batches: all of a benchmark's variants in
-        one pool task, so the worker compiles each kernel once."""
-        groups: dict[str, list] = {}
-        for entry in owned:
-            groups.setdefault(entry[0].benchmark.full_name, []).append(entry)
-        return list(groups.values())
-
     def _dispatch(self, c: ServiceCampaign, batch) -> None:
         """Hand one batch to the executor and wire its results back to
         the cell futures (the callback runs on the event loop)."""
@@ -504,11 +500,10 @@ class CampaignScheduler:
         log_ctx = None
         if telemetry.active_logger() is not None:
             log_ctx = {"campaign": c.id, "tenant": c.tenant}
-        items = [(i, entry[0].benchmark, entry[0].variant)
-                 for i, entry in enumerate(batch)]
-        payload = (
-            c.machine, None, c.spec.runs, str(self.kernel_dir), False,
-            log_ctx, items, None, self.retry_policy, None, 0,
+        payload = ChunkPayload(
+            machine=c.machine, tasks=tuple(entry[0] for entry in batch),
+            runs=c.spec.runs, retry=self.retry_policy,
+            kernel_dir=str(self.kernel_dir), log_ctx=log_ctx,
         )
         loop = asyncio.get_running_loop()
         if self.workers == 0:
@@ -538,8 +533,9 @@ class CampaignScheduler:
                 logger = telemetry.active_logger()
                 if logger is not None:
                     logger.merge(log_records)
+            by_index = {entry[0].index: entry for entry in batch}
             for index, outcome in outcomes:
-                _task, key, fut = batch[index]
+                _task, key, fut = by_index[index]
                 self.cell_cache.put(key, outcome.record)
                 if self._inflight.get(key) is fut:
                     del self._inflight[key]

@@ -38,6 +38,7 @@ from repro.ir.kernel import Kernel
 from repro.ir.loop import LoopNest
 from repro.machine.a64fx import a64fx
 from repro.machine.machine import Machine
+from repro.memo import IdentityMemo
 from repro.staticanalysis.diagnostics import (
     Diagnostic,
     DiagnosticSink,
@@ -235,11 +236,12 @@ def _decode_diagnostics(data: bytes) -> tuple[Diagnostic, ...]:
 # A campaign analyzes the same benchmark once per cell (dozens of
 # variants x thread counts); the findings depend only on the kernel IR
 # and the machine, so memoize by identity the way the engine memoizes
-# benchmark fingerprints.  Keyed on (id(benchmark), machine name); the
-# benchmark object is kept in the value to pin it against id() reuse.
+# benchmark fingerprints, keyed on the object and the machine name.
+# The bounds sit well above a campaign's 133 kernels and 108 benchmarks
+# per machine, so a campaign analyzes each kernel once.
 
-_BENCH_DIAGNOSTICS: dict = {}
-_KERNEL_DIAGNOSTICS: dict = {}
+_BENCH_DIAGNOSTICS: "IdentityMemo[tuple[Diagnostic, ...]]" = IdentityMemo(1024)
+_KERNEL_DIAGNOSTICS: "IdentityMemo[tuple[Diagnostic, ...]]" = IdentityMemo(2048)
 
 
 def _reemit(kernel_names: "tuple[str, ...]", diags: tuple) -> None:
@@ -265,12 +267,10 @@ def _kernel_diags(
     ctx: "AnalysisContext | None",
 ) -> tuple[Diagnostic, ...]:
     """Kernel findings through memo -> persistent cache -> analysis."""
-    key = (id(kernel), machine.name)
-    hit = _KERNEL_DIAGNOSTICS.get(key)
-    if hit is not None and hit[0] is kernel:
-        _reemit((kernel.name,), hit[1])
-        return hit[1]
-    diags = None
+    diags = _KERNEL_DIAGNOSTICS.get(kernel, machine.name)
+    if diags is not None:
+        _reemit((kernel.name,), diags)
+        return diags
     if cache is not None:
         diags = cache.get(kernel, machine)
         if diags is not None:
@@ -280,8 +280,7 @@ def _kernel_diags(
         diags = analyze_kernel(kernel, ctx=ctx, machine=machine if ctx is None else None)
         if cache is not None:
             cache.put(kernel, machine, diags)
-    _KERNEL_DIAGNOSTICS[key] = (kernel, diags)
-    return diags
+    return _KERNEL_DIAGNOSTICS.put(kernel, diags, machine.name)
 
 
 def analyze_kernel_cached(
@@ -308,18 +307,15 @@ def analyze_benchmark_cached(
     diagnostic identity — benchmarks whose units share a kernel object
     report each finding once even on warm caches.
     """
-    key = (id(benchmark), machine.name)
-    hit = _BENCH_DIAGNOSTICS.get(key)
-    if hit is not None and hit[0] is benchmark:
-        _reemit(tuple(k.name for k in benchmark.kernels()), hit[1])
-        return hit[1]
+    hit = _BENCH_DIAGNOSTICS.get(benchmark, machine.name)
+    if hit is not None:
+        _reemit(tuple(k.name for k in benchmark.kernels()), hit)
+        return hit
     ctx = AnalysisContext(machine=machine)
     out: list[Diagnostic] = []
     for kernel in benchmark.kernels():
         out.extend(_kernel_diags(kernel, machine, cache, ctx))
-    diags = dedupe_diagnostics(out)
-    _BENCH_DIAGNOSTICS[key] = (benchmark, diags)
-    return diags
+    return _BENCH_DIAGNOSTICS.put(benchmark, dedupe_diagnostics(out), machine.name)
 
 
 def worst_severity(diags: tuple[Diagnostic, ...]):

@@ -23,10 +23,6 @@ scored candidate through the same machinery measurement campaigns use:
   the whole rung, so a shard that cannot see its siblings' records yet
   returns a partial result; re-running (any shard, any node, shared
   directory) completes the search.
-* **worker parallelism** — ``workers > 1`` evaluates a batch's pending
-  candidates across a process pool; scenarios are reconstructed in the
-  worker from their spec string, and determinism makes the parallel
-  result identical to the serial one.
 * **telemetry** — a ``tune`` span wraps the search, one ``tune.rung``
   span per batch, with ``tuner.*`` counters and a best-score gauge
   (see :mod:`repro.telemetry.recorder`).
@@ -36,7 +32,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -48,11 +43,7 @@ from repro.harness.journalstore import (
     shard_indices,
     validate_shard,
 )
-from repro.harness.results import (
-    RunRecord,
-    record_from_dict,
-    record_to_dict,
-)
+from repro.harness.results import RunRecord
 from repro.machine.machine import Machine
 from repro.perf.noise import noise_multiplier
 from repro.telemetry.recorder import SPAN_TUNE, SPAN_TUNE_RUNG
@@ -107,9 +98,6 @@ class TuneSpec:
     resume: bool = False
     #: Evaluate only every n-th candidate: 1-based ``(index, count)``.
     shard: "tuple[int, int] | None" = None
-    #: Worker processes for batch evaluation; 1 = deterministic serial
-    #: loop (identical records either way).
-    workers: int = 1
 
     def with_(self, **kwargs: object) -> "TuneSpec":
         """A copy with the given fields replaced."""
@@ -355,40 +343,6 @@ def _cache_key(eval_fingerprint: str, candidate: Candidate) -> str:
     ).hexdigest()
 
 
-# -- worker side ----------------------------------------------------------
-
-
-def _evaluate_chunk(payload: tuple) -> list[dict]:
-    """Worker entry: evaluate a chunk of candidates, return record dicts.
-
-    The scenario is reconstructed from its spec string and the machine
-    from its registry name; determinism makes the records identical to
-    the parent's serial path.
-    """
-    scenario_spec, machine_name, labels, trials = payload
-    from repro.machine.select import resolve_machine
-
-    scenario = get_scenario(scenario_spec)
-    machine = resolve_machine(machine_name)
-    space = scenario.space(machine)
-    configs = tuple(space.config_from_label(label) for label in labels)
-    evaluations = scenario.evaluate(configs, machine)
-    out = []
-    for label, evaluation in zip(labels, evaluations):
-        candidate = Candidate(evaluation.config, trials)
-        out.append(record_to_dict(candidate_record(scenario, candidate, evaluation)))
-    return out
-
-
-def _chunks(items: list, n: int) -> list[list]:
-    """Split ``items`` into at most ``n`` contiguous chunks."""
-    if not items:
-        return []
-    n = max(1, min(n, len(items)))
-    size = -(-len(items) // n)
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
 # -- the tuner ------------------------------------------------------------
 
 
@@ -522,7 +476,7 @@ def run_tune(
 
                     mine = [i for i in pending if i in owned]
                     fresh = _evaluate_candidates(
-                        scenario, machine, spec, [batch[i] for i in mine]
+                        scenario, machine, [batch[i] for i in mine]
                     )
                     for i, record in zip(mine, fresh):
                         records[i] = record
@@ -667,36 +621,11 @@ def run_tune(
 def _evaluate_candidates(
     scenario: Scenario,
     machine: Machine,
-    spec: TuneSpec,
     candidates: "list[Candidate]",
 ) -> "list[RunRecord]":
-    """Evaluate fresh candidates — serial, or chunked across workers.
-
-    All candidates of one call share a trial count (one strategy rung),
-    so the worker payload carries a single ``trials``.
-    """
+    """Evaluate fresh candidates in one batched scenario call."""
     if not candidates:
         return []
-    trials = candidates[0].trials
-    parallel = (
-        spec.workers > 1
-        and len(candidates) > 1
-        and isinstance(spec.machine, (str, type(None)))
-    )
-    if parallel:
-        chunks = _chunks(candidates, spec.workers)
-        payloads = [
-            (
-                scenario.name,
-                machine.name,
-                tuple(c.config.label for c in chunk),
-                trials,
-            )
-            for chunk in chunks
-        ]
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            results = list(pool.map(_evaluate_chunk, payloads))
-        return [record_from_dict(doc) for docs in results for doc in docs]
     evaluations = scenario.evaluate(
         tuple(c.config for c in candidates), machine
     )

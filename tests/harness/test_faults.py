@@ -33,6 +33,7 @@ from repro.harness.results import (
 )
 from repro.harness.runner import measure_benchmark, run_cell
 from repro.suites import get_suite, micro_suite
+from repro.telemetry import Telemetry
 
 
 def _micro_bench(name: str):
@@ -355,6 +356,38 @@ class TestEngineChaos:
         assert result.records == clean.records
         assert result.meta["worker_restarts"] >= 1
         assert any(e.kind is EventKind.WORKER_LOST for e in events)
+
+    def _degraded_run(self, machine, **kwargs):
+        """Four micro benchmarks in a pool whose workers always die:
+        one rebuild, then the remaining cells run in-process."""
+        plan = FaultPlan(seed=4, rules=(
+            FaultRule(site="worker", probability=1.0, first_attempts=None),))
+        benches = micro_suite().benchmarks[:4]
+        events = []
+        result = CampaignEngine(
+            machine, benchmarks=benches, variants=("FJtrad", "GNU"),
+            fault_plan=plan, workers=2, max_worker_restarts=1,
+            retry_backoff_s=0.0, **kwargs,
+        ).run(emit=events.append)
+        clean = CampaignEngine(
+            machine, benchmarks=benches, variants=("FJtrad", "GNU"),
+        ).run()
+        return result, clean, events
+
+    def test_restart_budget_exhausted_runs_cells_in_process(self, a64fx_machine):
+        result, clean, events = self._degraded_run(a64fx_machine)
+        assert result.records == clean.records
+        assert result.meta["worker_restarts"] == 2
+        lost = [e for e in events if e.kind is EventKind.WORKER_LOST]
+        assert lost[-1].message == (
+            "worker restart budget (1) exhausted; running 8 remaining "
+            "cell(s) in-process")
+
+    def test_in_process_fallback_times_every_cell(self, a64fx_machine):
+        tel = Telemetry()
+        result, _clean, _events = self._degraded_run(a64fx_machine, telemetry=tel)
+        assert result.meta["executed"] == 8
+        assert tel.metrics.histograms["engine.cell_s"].count == 8
 
     def test_worker_site_ignored_in_serial(self, a64fx_machine):
         clean = self._engine(a64fx_machine).run()

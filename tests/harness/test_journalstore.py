@@ -513,8 +513,7 @@ class TestRetryHistory:
 
 class TestBenchFingerprintMemoBound:
     def test_memo_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(
-            "repro.harness.engine._BENCH_FINGERPRINTS_MAX", 8)
+        monkeypatch.setattr(_BENCH_FINGERPRINTS, "maxsize", 8)
         base = micro_suite().benchmarks[0]
         _BENCH_FINGERPRINTS.clear()
         ad_hoc = [dataclasses.replace(base, name=f"tmp{i}") for i in range(50)]

@@ -203,10 +203,10 @@ class TestRestartResume:
         real = mod._run_chunk
 
         def uneven_chunk(payload):
-            items = payload[6]
             # First benchmark's batch lands fast; the second is still
             # in flight when the kill arrives.
-            slow = any(b.full_name.endswith("symm") for _i, b, _v in items)
+            slow = any(t.benchmark.full_name.endswith("symm")
+                       for t in payload.tasks)
             time.sleep(1.0 if slow else 0.05)
             return real(payload)
 

@@ -1,6 +1,7 @@
 """Tests for the analysis driver: context memoization, caching,
 telemetry integration, and benchmark-level analysis."""
 
+import dataclasses
 import os
 
 from repro import telemetry
@@ -94,6 +95,38 @@ class TestCachedEntryPoints:
         warm = analyze_benchmark_cached(bench, machine)
         assert warm == cold
         assert len(set(warm)) == len(warm), "duplicate findings re-emitted"
+
+    def test_kernel_memo_is_bounded(self, monkeypatch):
+        """Regression: the memo kept (and pinned) every kernel object it
+        was ever given, so a long-lived process compiling fresh kernel
+        objects grew it without limit."""
+        from repro.staticanalysis import driver as driver_mod
+
+        analyzed = []
+
+        def fake_analyze(kernel, **kwargs):
+            analyzed.append(kernel)
+            return ()
+
+        monkeypatch.setattr(driver_mod, "analyze_kernel", fake_analyze)
+        machine = a64fx()
+        copies = [dataclasses.replace(racy_kernel()) for _ in range(3000)]
+        for kernel in copies:
+            analyze_kernel_cached(kernel, machine)
+        assert len(driver_mod._KERNEL_DIAGNOSTICS) <= 2048
+        assert analyze_kernel_cached(copies[-1], machine) == ()
+        assert len(analyzed) == len(copies)  # the newest entry still hits
+
+    def test_benchmark_memo_is_bounded(self):
+        from repro.staticanalysis import driver as driver_mod
+
+        base = get_benchmark("polybench.2mm")
+        machine = a64fx()
+        first = analyze_benchmark_cached(base, machine)
+        for i in range(1500):
+            clone = dataclasses.replace(base, name=f"clone{i}")
+            assert analyze_benchmark_cached(clone, machine) == first
+        assert len(driver_mod._BENCH_DIAGNOSTICS) <= 1024
 
 
 class TestAnalysisCache:

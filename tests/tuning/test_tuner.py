@@ -1,4 +1,4 @@
-"""Tests for the tuner: journal resume, caching, sharding, workers."""
+"""Tests for the tuner: journal resume, caching, sharding."""
 
 from pathlib import Path
 
@@ -171,18 +171,6 @@ class TestSharding:
 
         with pytest.raises(HarnessError):
             run_tune(quad_spec(shard=(3, 2)))
-
-
-class TestWorkers:
-    def test_parallel_matches_serial(self, tmp_path):
-        serial = run_tune(
-            TuneSpec(strategy="random", samples=24, trials=2, seed=5)
-        )
-        parallel = run_tune(
-            TuneSpec(strategy="random", samples=24, trials=2, seed=5, workers=2)
-        )
-        assert parallel.best_label == serial.best_label
-        assert parallel.trajectory == serial.trajectory
 
 
 class TestPlacementScenarios:
