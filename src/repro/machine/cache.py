@@ -5,15 +5,20 @@ Two layers:
 * :class:`CacheLevel` — the datasheet description the analytic traffic
   model (:mod:`repro.perf.traffic`) consumes;
 * :class:`SetAssociativeCache` / :class:`CacheHierarchy` — a concrete
-  LRU set-associative simulator.  It is too slow to sit in the campaign
-  hot path, but the test suite uses it to cross-validate the analytic
-  model's hit/miss placement on small kernels, and it is part of the
-  public API for users studying individual loops.
+  LRU set-associative simulator.  The test suite uses it to
+  cross-validate the analytic model's hit/miss placement on small
+  kernels, and it is part of the public API for users studying
+  individual loops.  :meth:`SetAssociativeCache.access` touches one
+  address; :meth:`SetAssociativeCache.access_lines` replays a numpy
+  batch of lines and ends in exactly the state the one-by-one loop
+  would.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import MachineConfigError
 
@@ -95,7 +100,8 @@ class SetAssociativeCache:
 
     Used as ground truth for the analytic traffic model in tests.  LRU
     recency is tracked with a monotone counter per line; sets are dicts
-    keyed by tag for O(1) lookup.
+    keyed by tag for O(1) lookup, kept in recency order (a hit moves
+    its tag to the end), so the first key is always the LRU way.
     """
 
     def __init__(self, level: CacheLevel) -> None:
@@ -121,6 +127,7 @@ class SetAssociativeCache:
         self._clock += 1
         self.stats.accesses += 1
         if tag in ways:
+            del ways[tag]
             ways[tag] = self._clock
             self.stats.hits += 1
             return True
@@ -131,6 +138,65 @@ class SetAssociativeCache:
             self.stats.evictions += 1
         ways[tag] = self._clock
         return False
+
+    def access_lines(self, lines: "np.ndarray | list[int]") -> np.ndarray:
+        """Touch a batch of line numbers (``address // line_bytes``) in
+        order; returns the miss mask.
+
+        Equivalent to :meth:`access` on each ``line * line_bytes`` in
+        turn: ``stats``, every set's tags with their clock values, and
+        the clock end up identical.  Sets are independent, so the batch
+        is grouped by set (stable, so each set keeps its own order).
+        An access whose previous access to the same set had the same
+        tag is a guaranteed hit that leaves the LRU order unchanged;
+        only the first access of each such run walks the set's dict.
+        """
+        lines = np.asarray(lines, dtype=np.int64)
+        n = lines.size
+        if not n:
+            return np.zeros(0, dtype=bool)
+        if lines.min() < 0:
+            raise ValueError("addresses must be non-negative")
+        num_sets = self.level.num_sets
+        set_of = lines % num_sets
+        order = np.argsort(set_of, kind="stable")
+        sets = set_of[order]
+        tags = lines[order] // num_sets
+        head = np.ones(n, dtype=bool)
+        head[1:] = (sets[1:] != sets[:-1]) | (tags[1:] != tags[:-1])
+        heads = np.flatnonzero(head)
+        # Each run ends one before the next run starts; its tag's clock
+        # is the stream position of the run's last access.
+        ends = np.append(heads[1:], n) - 1
+        clocks = order[ends] + (self._clock + 1)
+
+        head_miss = []
+        miss = head_miss.append
+        evictions = 0
+        ways_max = self.level.associativity
+        all_sets = self._sets
+        for s, tag, clock in zip(sets[heads].tolist(), tags[heads].tolist(),
+                                 clocks.tolist()):
+            ways = all_sets[s]
+            if tag in ways:
+                del ways[tag]
+                miss(False)
+            else:
+                if len(ways) >= ways_max:
+                    del ways[next(iter(ways))]
+                    evictions += 1
+                miss(True)
+            ways[tag] = clock
+
+        mask = np.zeros(n, dtype=bool)
+        mask[order[heads]] = head_miss
+        misses = int(np.count_nonzero(mask))
+        self._clock += n
+        self.stats.accesses += n
+        self.stats.hits += n - misses
+        self.stats.misses += misses
+        self.stats.evictions += evictions
+        return mask
 
     def access_range(self, address: int, nbytes: int) -> int:
         """Touch ``nbytes`` starting at ``address``; returns miss count."""
@@ -154,11 +220,13 @@ class SetAssociativeCache:
 
 
 class CacheHierarchy:
-    """An inclusive multi-level hierarchy of reference simulators.
+    """A non-inclusive multi-level hierarchy of reference simulators.
 
-    An access probes L1 first; on miss it recurses to the next level.
-    Returns the level index that served the access (``len(levels)``
-    means memory).
+    An access probes L1 first; on miss it recurses to the next level, so
+    each level sees exactly the miss stream of the level inside it.  An
+    L1 hit does not touch L2, and an L2 eviction leaves L1 alone (no
+    back-invalidation).  Returns the level index that served the access
+    (``len(levels)`` means memory).
     """
 
     def __init__(self, levels: "list[CacheLevel] | tuple[CacheLevel, ...]") -> None:
@@ -179,6 +247,22 @@ class CacheHierarchy:
             if cache.access(address):
                 return idx
         return len(self.caches)
+
+    def access_lines(self, lines: "np.ndarray | list[int]") -> np.ndarray:
+        """Batch counterpart of :meth:`access` over line numbers: the
+        index of the level that served each line, with every level's
+        state identical to the one-by-one loop.  Level by level, each
+        level replays the previous level's misses."""
+        lines = np.asarray(lines, dtype=np.int64)
+        served = np.full(lines.size, len(self.caches), dtype=np.int64)
+        pending = np.arange(lines.size)
+        for idx, cache in enumerate(self.caches):
+            if not pending.size:
+                break
+            miss = cache.access_lines(lines[pending])
+            served[pending[~miss]] = idx
+            pending = pending[miss]
+        return served
 
     def flush(self) -> None:
         for c in self.caches:

@@ -156,6 +156,23 @@ class TestHierarchy:
         level = h.access(0)
         assert level == 1
 
+    def test_non_inclusive_l2_eviction_leaves_l1_alone(self):
+        """L1 hits never reach L2, so a hot line can age out of L2 and
+        still hit in L1 (no back-invalidation)."""
+        l1 = small_cache(capacity=128, ways=2)  # one set, two ways
+        l2 = small_cache(capacity=256, ways=4)  # one set, four ways
+        for replay in ("access", "access_lines"):
+            h = CacheHierarchy([l1, l2])
+            stream = [0, 1, 0, 2, 0, 3, 0, 4]
+            if replay == "access":
+                served = [h.access(ln * 64) for ln in stream]
+            else:
+                served = h.access_lines(stream).tolist()
+            assert served == [2, 2, 0, 2, 0, 2, 0, 2]
+            assert not h.caches[1].contains(0)  # line 0 aged out of L2 ...
+            assert h.caches[0].contains(0)  # ... but stays in L1
+            assert h.access(0) == 0
+
     def test_rejects_shrinking_hierarchy(self):
         with pytest.raises(MachineConfigError):
             CacheHierarchy([small_cache(capacity=4 * KiB, ways=4), small_cache(capacity=512)])
