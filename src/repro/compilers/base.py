@@ -20,11 +20,10 @@ from __future__ import annotations
 import enum
 import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro import telemetry
 
-from repro.ir.dependence import Dependence, nest_dependences
 from repro.ir.kernel import Kernel
 from repro.ir.loop import LoopNest
 from repro.ir.types import DType, Language
@@ -156,14 +155,6 @@ class PassContext:
     caps: CompilerCapabilities
     language: Language
     kernel: Kernel
-    _dep_cache: dict[int, tuple[Dependence, ...]] = field(default_factory=dict)
-
-    def dependences(self, nest: LoopNest) -> tuple[Dependence, ...]:
-        """Dependence analysis, memoized per nest object identity."""
-        key = id(nest)
-        if key not in self._dep_cache:
-            self._dep_cache[key] = nest_dependences(nest)
-        return self._dep_cache[key]
 
 
 class Pass(ABC):

@@ -16,7 +16,7 @@ import itertools
 
 from repro.compilers.base import CodegenNestInfo, Pass, PassContext
 from repro.ir.analysis import StrideClass, classify_access
-from repro.ir.dependence import permutation_legal
+from repro.ir.dependence import nest_dependences, permutation_legal
 from repro.ir.loop import LoopNest
 
 
@@ -97,7 +97,7 @@ class InterchangePass(Pass):
         original = nest.loop_vars
         best_order = original
         best_cost = stride_cost(nest, original, line)
-        deps = ctx.dependences(nest)
+        deps = nest_dependences(nest)
         for perm in candidate_orders(movable, caps.max_interchange_depth):
             order = original[:prefix] + perm
             cost = stride_cost(nest, order, line)

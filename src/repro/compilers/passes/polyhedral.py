@@ -27,7 +27,7 @@ import itertools
 from repro.compilers.base import CodegenNestInfo, Pass, PassContext
 from repro.compilers.passes.interchange import _fixed_prefix, stride_cost
 from repro.ir.analysis import is_scop, nest_is_static_control, reuse_potential
-from repro.ir.dependence import permutation_legal
+from repro.ir.dependence import nest_dependences, permutation_legal
 
 #: Minimum temporal-reuse score for tiling to be considered profitable.
 _TILING_REUSE_THRESHOLD = 0.5
@@ -59,7 +59,7 @@ class PolyhedralPass(Pass):
             line = ctx.machine.line_bytes
             original = nest.loop_vars
             best_order, best_cost = original, stride_cost(nest, original, line)
-            deps = ctx.dependences(nest)
+            deps = nest_dependences(nest)
             for perm in itertools.permutations(movable):
                 order = original[:prefix] + perm
                 if order == original:

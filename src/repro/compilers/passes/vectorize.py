@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.compilers.base import CodegenNestInfo, Pass, PassContext
 from repro.ir.analysis import StrideClass, nest_access_patterns
-from repro.ir.dependence import innermost_vectorization_legality
+from repro.ir.dependence import innermost_vectorization_legality, nest_dependences
 from repro.ir.kernel import Feature
 from repro.machine.isa import SCALAR, VectorISA, isa_by_name
 
@@ -59,7 +59,7 @@ class VectorizePass(Pass):
             return
 
         nest = info.nest
-        verdict = innermost_vectorization_legality(nest, ctx.dependences(nest))
+        verdict = innermost_vectorization_legality(nest, nest_dependences(nest))
         if not verdict.legal:
             return
         if verdict.needs_reduction_reassociation:

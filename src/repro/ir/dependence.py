@@ -31,6 +31,7 @@ from repro.ir.expr import AffineExpr
 from repro.ir.loop import LoopNest
 from repro.ir.statement import Statement
 from repro.ir.types import AccessKind
+from repro.memo import ContentMemo
 
 
 class Direction(enum.Enum):
@@ -265,13 +266,28 @@ def _classify(src_kind: AccessKind, dst_kind: AccessKind) -> list[DepKind]:
     return kinds
 
 
+#: Dependence sets by nest content.  The analysis reads nothing but the
+#: nest, and the compiler variants hand it equal nests as distinct
+#: objects; the returned statements may belong to an equal nest, which
+#: consumers cannot tell apart (they read the statement names).
+_DEPENDENCES: "ContentMemo[tuple[Dependence, ...]]" = ContentMemo(4096)
+
+
 def nest_dependences(nest: LoopNest) -> tuple[Dependence, ...]:
-    """All data dependences within one loop nest.
+    """All data dependences within one loop nest (memoized by content).
 
     Considers every ordered statement pair (including self-pairs) and
     every access pair on the same array with at least one write.
     Duplicate (src, dst, array, kind, direction) tuples are collapsed.
     """
+    found = _DEPENDENCES.get(nest)
+    if found is None:
+        found = _DEPENDENCES.put(nest, _analyze_dependences(nest))
+    return found
+
+
+def _analyze_dependences(nest: LoopNest) -> tuple[Dependence, ...]:
+    """The uncached analysis behind :func:`nest_dependences`."""
     trip_counts = {l.var: l.trip_count for l in nest.loops}
     if any(count == 0 for count in trip_counts.values()):
         # An empty iteration space executes no statement instance, so

@@ -11,7 +11,8 @@ the two natural halves:
   (compiled nest, machine): op counts, trip counts, the line-granular
   working-set profile, and a traffic table keyed by layer-condition fit
   depth, computed with the exact per-access loop of
-  :mod:`repro.perf.traffic`;
+  :mod:`repro.perf.traffic` once per distinct (nest, tiling,
+  streaming-store, line size) content and shared across variants;
 * **batched evaluation** (:func:`evaluate_placements`) — the
   `cycles_per_iteration`/`nest_time` arithmetic and the
   scaling/NUMA/OMP corrections applied across *all* placements of a
@@ -36,7 +37,9 @@ In front of the evaluator sits the redesigned grid API —
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -44,11 +47,12 @@ from repro.compilers.base import CodegenNestInfo, CompileStatus
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import STUDY_VARIANTS
 from repro.errors import HarnessError
+from repro.ir.loop import LoopNest
 from repro.ir.types import AccessKind
 from repro.libs.mathlib import library_time_s
 from repro.machine.machine import Machine
 from repro.machine.topology import Placement
-from repro.memo import IdentityMemo
+from repro.memo import ContentMemo, IdentityMemo
 from repro.perf.cost import (
     CompilationCache,
     ModelResult,
@@ -80,6 +84,78 @@ __all__ = [
 
 
 # -- feature extraction ---------------------------------------------------
+
+
+# Traffic rows per (fit depth, source-is-memory), aggregated with the
+# exact per-access loop of repro.perf.traffic.nest_traffic.  The
+# placement only picks *which* row applies (via the shared cache's
+# effective capacity), never changes a row's value.
+def _traffic_rows(
+    nest: LoopNest,
+    tile_working_set: "int | None",
+    streaming_stores: bool,
+    line: int,
+) -> "tuple[tuple[float, ...], dict[tuple[int, bool], tuple[float, float, float]]]":
+    trips = {l.var: l.trip_count for l in nest.loops}
+    ws_profile = _resident_ws_profile(nest, line)
+
+    block_factor = 1.0
+    if tile_working_set is not None and ws_profile[0] > tile_working_set:
+        n_arrays = max(1, len(nest.arrays))
+        elem = 8
+        side = math.sqrt(tile_working_set / (elem * n_arrays))
+        block_factor = max(1.0, side)
+
+    rows: dict[tuple[int, bool], tuple[float, float, float]] = {}
+    for fit in range(nest.depth + 1):
+        captured_vars = frozenset(l.var for l in nest.loops[max(fit - 1, 0):])
+        per_access = []
+        for acc in nest.accesses:
+            fetch_bytes_per_element = _bytes_per_distinct_element(acc, captured_vars, line)
+            misses = _misses_beyond(acc, nest, fit, trips, block_factor)
+            volume = misses * fetch_bytes_per_element
+            irregular = acc.indirect or fetch_bytes_per_element >= line
+            per_access.append((acc.kind, volume, irregular))
+        for is_memory in (False, True):
+            read_bytes = 0.0
+            write_bytes = 0.0
+            irregular_bytes = 0.0
+            for kind, volume, irregular in per_access:
+                if kind is AccessKind.READ:
+                    read_bytes += volume
+                    if irregular:
+                        irregular_bytes += volume
+                elif kind is AccessKind.WRITE:
+                    write_bytes += volume
+                    if is_memory and not streaming_stores:
+                        read_bytes += volume
+                else:  # UPDATE: read-modify-write
+                    read_bytes += volume
+                    write_bytes += volume
+                    if irregular:
+                        irregular_bytes += volume
+            frac = irregular_bytes / read_bytes if read_bytes > 0 else 0.0
+            rows[(fit, is_memory)] = (read_bytes, write_bytes, min(1.0, frac))
+    return ws_profile, rows
+
+
+#: Working-set profiles and traffic rows by content.  The key holds
+#: every input :func:`_traffic_rows` reads (nest, tile working set,
+#: streaming-store flag, line size), so compiled nests that agree on
+#: them share one read-only table, whichever variant compiled them.
+_TRAFFIC_TABLES: "ContentMemo[tuple[tuple[float, ...], Mapping]]" = ContentMemo(4096)
+
+
+def _traffic_table(
+    info: CodegenNestInfo, line_bytes: int
+) -> "tuple[tuple[float, ...], Mapping]":
+    """The (memoized) ``(ws_profile, rows)`` of one compiled nest."""
+    key = (info.nest, info.tile_working_set, info.streaming_stores, line_bytes)
+    table = _TRAFFIC_TABLES.get(key)
+    if table is None:
+        ws_profile, rows = _traffic_rows(*key)
+        table = _TRAFFIC_TABLES.put(key, (ws_profile, MappingProxyType(rows)))
+    return table
 
 
 class NestFeatures:
@@ -144,7 +220,7 @@ class NestFeatures:
             self.ws_profile = ()
             self.rows = {}
         else:
-            self.ws_profile, self.rows = self._traffic_rows()
+            self.ws_profile, self.rows = _traffic_table(info, machine.line_bytes)
 
         # Irregular (latency-bound) stream rate per core: placement
         # independent.  The line size comes from the machine model via
@@ -213,56 +289,6 @@ class NestFeatures:
 
         cycles += 1.0 / (max(info.unroll_factor, 1) * lanes)
         return cycles
-
-    # Traffic rows per (fit depth, source-is-memory), aggregated with
-    # the exact per-access loop of repro.perf.traffic.nest_traffic.
-    # The placement only picks *which* row applies (via the shared
-    # cache's effective capacity), never changes a row's value.
-    def _traffic_rows(self):
-        info, machine = self.info, self.machine
-        nest = info.nest
-        trips = {l.var: l.trip_count for l in nest.loops}
-        line = machine.line_bytes
-        ws_profile = _resident_ws_profile(nest, line)
-
-        block_factor = 1.0
-        if info.tile_working_set is not None and ws_profile[0] > info.tile_working_set:
-            n_arrays = max(1, len(nest.arrays))
-            elem = 8
-            side = math.sqrt(info.tile_working_set / (elem * n_arrays))
-            block_factor = max(1.0, side)
-
-        rows: dict[tuple[int, bool], tuple[float, float, float]] = {}
-        for fit in range(nest.depth + 1):
-            captured_vars = frozenset(l.var for l in nest.loops[max(fit - 1, 0):])
-            per_access = []
-            for acc in nest.accesses:
-                fetch_bytes_per_element = _bytes_per_distinct_element(acc, captured_vars, line)
-                misses = _misses_beyond(acc, nest, fit, trips, block_factor)
-                volume = misses * fetch_bytes_per_element
-                irregular = acc.indirect or fetch_bytes_per_element >= line
-                per_access.append((acc.kind, volume, irregular))
-            for is_memory in (False, True):
-                read_bytes = 0.0
-                write_bytes = 0.0
-                irregular_bytes = 0.0
-                for kind, volume, irregular in per_access:
-                    if kind is AccessKind.READ:
-                        read_bytes += volume
-                        if irregular:
-                            irregular_bytes += volume
-                    elif kind is AccessKind.WRITE:
-                        write_bytes += volume
-                        if is_memory and not info.streaming_stores:
-                            read_bytes += volume
-                    else:  # UPDATE: read-modify-write
-                        read_bytes += volume
-                        write_bytes += volume
-                        if irregular:
-                            irregular_bytes += volume
-                frac = irregular_bytes / read_bytes if read_bytes > 0 else 0.0
-                rows[(fit, is_memory)] = (read_bytes, write_bytes, min(1.0, frac))
-        return ws_profile, rows
 
     def traffic_for(self, active_cores_per_domain: int) -> TrafficReport:
         """The nest's traffic report for one active-core count (memoized)."""

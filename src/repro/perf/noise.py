@@ -15,16 +15,21 @@ import hashlib
 import math
 
 
-def _unit_uniform(*key_parts: object) -> float:
-    """Deterministic U(0,1) from a hashable identity tuple."""
-    digest = hashlib.sha256("|".join(str(p) for p in key_parts).encode()).digest()
-    return int.from_bytes(digest[:8], "big") / float(1 << 64)
-
-
 def _unit_normal(*key_parts: object) -> float:
-    """Deterministic standard normal via Box-Muller."""
-    u1 = _unit_uniform(*key_parts, "u1")
-    u2 = _unit_uniform(*key_parts, "u2")
+    """Deterministic standard normal via Box-Muller from a hashable
+    identity tuple.
+
+    The two uniforms are the leading 64 bits of
+    ``sha256("|".join(map(str, (*key_parts, "u1"))))`` and of its
+    ``"u2"`` twin; the shared key prefix is formatted and hashed once.
+    """
+    prefix = "|".join(map(str, key_parts)) + "|" if key_parts else ""
+    h1 = hashlib.sha256(prefix.encode())
+    h2 = h1.copy()
+    h1.update(b"u1")
+    h2.update(b"u2")
+    u1 = int.from_bytes(h1.digest()[:8], "big") / float(1 << 64)
+    u2 = int.from_bytes(h2.digest()[:8], "big") / float(1 << 64)
     u1 = max(u1, 1e-12)
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 

@@ -60,6 +60,7 @@ from repro.ir.dependence import (
     VectorizationLegality,
     carried_dependences,
     innermost_vectorization_legality,
+    nest_dependences,
     permutation_legal,
 )
 from repro.ir.kernel import Kernel
@@ -761,17 +762,10 @@ def compute_nest_facts(
     )
 
 
-def compute_kernel_facts(
-    kernel: Kernel,
-    *,
-    deps: Callable[[LoopNest], tuple[Dependence, ...]],
-    line_bytes: int,
-) -> KernelFacts:
-    """Compute :class:`KernelFacts` for one kernel.
-
-    ``deps`` supplies (memoized) dependence sets — pass
-    ``AnalysisContext.deps`` so the facts share the context's cache."""
+def compute_kernel_facts(kernel: Kernel, *, line_bytes: int) -> KernelFacts:
+    """Compute :class:`KernelFacts` for one kernel."""
     nests = tuple(
-        compute_nest_facts(nest, deps(nest), line_bytes) for nest in kernel.nests
+        compute_nest_facts(nest, nest_dependences(nest), line_bytes)
+        for nest in kernel.nests
     )
     return KernelFacts(kernel=kernel, nests=nests, scop=is_scop(kernel))

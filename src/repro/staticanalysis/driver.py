@@ -7,11 +7,13 @@ it per benchmark to enforce ``lint_policy``, and the CLI ``lint``
 subcommand runs it over whole suites.
 
 The :class:`AnalysisContext` memoizes the expensive shared inputs —
-dependence sets per nest, structural validation per kernel, and the
-fixpoint dataflow facts (:mod:`repro.staticanalysis.dataflow`) — so
-that seven rules reading the same nest pay for one ``nest_dependences``
-call and one facts computation, and repeated analyses of the same
-benchmark (one per campaign cell) pay for one analysis.
+structural validation per kernel and the fixpoint dataflow facts
+(:mod:`repro.staticanalysis.dataflow`) — so that seven rules reading
+the same kernel pay for one facts computation, and repeated analyses
+of the same benchmark (one per campaign cell) pay for one analysis.
+Dependence sets come from the process-wide content memo behind
+:func:`~repro.ir.dependence.nest_dependences`, which the compiler
+passes share.
 
 Two caches sit above the context memos:
 
@@ -33,9 +35,7 @@ from pathlib import Path
 
 from repro import telemetry
 from repro.diskstore import KeyedStore
-from repro.ir.dependence import Dependence, nest_dependences
 from repro.ir.kernel import Kernel
-from repro.ir.loop import LoopNest
 from repro.machine.a64fx import a64fx
 from repro.machine.machine import Machine
 from repro.memo import IdentityMemo
@@ -64,13 +64,12 @@ class AnalysisContext:
     """Shared state for one analysis run (memoized expensive inputs).
 
     Rules receive the context as their second argument and pull the
-    dependence sets, the structural-validation findings, the dataflow
-    facts, and machine parameters (cache line size for the stride cost
-    model) from it.
+    structural-validation findings, the dataflow facts (which carry each
+    nest's dependence set), and machine parameters (cache line size for
+    the stride cost model) from it.
     """
 
     machine: Machine = field(default_factory=a64fx)
-    _deps: dict = field(default_factory=dict, repr=False)
     _validated: dict = field(default_factory=dict, repr=False)
     _facts: dict = field(default_factory=dict, repr=False)
     #: (id(kernel), variants) -> per-variant transform predictions
@@ -81,15 +80,6 @@ class AnalysisContext:
     @property
     def line_bytes(self) -> int:
         return self.machine.line_bytes
-
-    def deps(self, nest: LoopNest) -> tuple[Dependence, ...]:
-        """Dependences of ``nest``, memoized by object identity."""
-        key = id(nest)
-        found = self._deps.get(key)
-        if found is None:
-            found = nest_dependences(nest)
-            self._deps[key] = found
-        return found
 
     def validated(self, kernel: Kernel) -> tuple[Diagnostic, ...]:
         """Structural validation of ``kernel`` (STRUCT001/BND002
@@ -109,7 +99,7 @@ class AnalysisContext:
     def facts(self, kernel: Kernel):
         """Fixpoint dataflow facts of ``kernel``
         (:class:`~repro.staticanalysis.dataflow.KernelFacts`), memoized
-        by object identity; shares this context's dependence memo."""
+        by object identity."""
         key = id(kernel)
         found = self._facts.get(key)
         if found is None:
@@ -117,9 +107,7 @@ class AnalysisContext:
             # the stride cost model.
             from repro.staticanalysis.dataflow import compute_kernel_facts
 
-            found = compute_kernel_facts(
-                kernel, deps=self.deps, line_bytes=self.line_bytes
-            )
+            found = compute_kernel_facts(kernel, line_bytes=self.line_bytes)
             self._facts[key] = found
         return found
 

@@ -258,3 +258,42 @@ class TestNormalization:
         deps = nest_dependences(nest)
         assert any(d.is_loop_independent for d in deps)
         assert all(d.carried_level() is None for d in deps if d.is_loop_independent)
+
+
+class TestContentMemo:
+    """``nest_dependences`` answers from a process-wide memo keyed by
+    nest content; it must equal the uncached analysis on every nest."""
+
+    @staticmethod
+    def _suite_nests():
+        from repro.suites import all_benchmarks
+
+        for bench in all_benchmarks():
+            for unit in bench.units:
+                if unit.kernel is not None:
+                    yield from unit.kernel.nests
+
+    def test_every_suite_nest_matches_uncached_analysis(self):
+        from repro.ir.dependence import _analyze_dependences
+
+        checked = 0
+        for nest in self._suite_nests():
+            assert nest_dependences(nest) == _analyze_dependences(nest), nest.label
+            checked += 1
+        assert checked > 100
+
+    def test_equal_nests_share_one_dependence_set(self):
+        import pickle
+
+        nest = gemm_nest()
+        clone = pickle.loads(pickle.dumps(nest))
+        assert clone is not nest and clone == nest
+        assert nest_dependences(clone) is nest_dependences(nest)
+
+    def test_nests_differing_in_bounds_do_not_share(self):
+        # A zero-trip loop empties the dependence set: the key must
+        # include the bounds, not only the body.
+        full = gemm_nest()
+        empty = full.with_loops((full.loops[0].with_bounds(0, 0),) + full.loops[1:])
+        assert nest_dependences(full)
+        assert nest_dependences(empty) == ()

@@ -11,13 +11,14 @@ degenerate (zero-trip) and triangular-approximated nests.
 from __future__ import annotations
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import GridSpec, evaluate_grid
-from repro.compilers.base import CodegenNestInfo
+from repro.compilers.base import CodegenNestInfo, CompileStatus
 from repro.compilers.registry import STUDY_VARIANTS
 from repro.errors import HarnessError
 from repro.harness import placement_candidates
@@ -33,10 +34,12 @@ from repro.perf import (
     evaluate_placements,
     nest_features,
 )
+from repro.perf import batch as batch_mod
 from repro.perf.ecm import cycles_per_iteration
 from repro.perf.traffic import nest_traffic
 from repro.suites import all_benchmarks, micro_suite
 from repro.units import KiB, gb_per_s, ghz
+from tests.conftest import build_gemm
 
 
 class TestDifferentialFullGrid:
@@ -192,6 +195,94 @@ class TestFeatureMatrixProperties:
         nest = b.nest([("i", 16), ("j", 16)], [stmt])
         info = CodegenNestInfo(nest=nest)
         assert nest_features(info, machine) is nest_features(info, machine)
+
+
+def _campaign_infos(machine):
+    """(variant, compiled nest info) for every compiled nest of the
+    default 540-cell campaign."""
+    cache = CompilationCache()
+    for bench in all_benchmarks():
+        for variant in STUDY_VARIANTS:
+            for unit in bench.units:
+                if unit.kernel is None:
+                    continue
+                compiled = cache.get(variant, unit.kernel, machine, None)
+                if compiled.status is CompileStatus.OK:
+                    for info in compiled.nest_infos:
+                        yield variant, info
+
+
+class TestTrafficTables:
+    """Working-set profiles and traffic rows are shared by content key;
+    the shared table must be the one a fresh computation gives."""
+
+    def test_every_campaign_nest_matches_fresh_table(self, a64fx_machine):
+        line = a64fx_machine.line_bytes
+        by_key = {}
+        for variant, info in _campaign_infos(a64fx_machine):
+            features = nest_features(info, a64fx_machine)
+            if features.empty:
+                continue
+            fresh = batch_mod._traffic_rows(
+                info.nest, info.tile_working_set, info.streaming_stores, line
+            )
+            assert (features.ws_profile, features.rows) == fresh, info.nest.label
+            key = (info.nest, info.tile_working_set, info.streaming_stores)
+            by_key.setdefault(key, []).append((variant, info, features))
+        # The variants do hand the memo equal nests as distinct objects,
+        # and those share one table object.
+        shared = [
+            group for group in by_key.values()
+            if len({id(info) for _, info, _ in group}) > 1
+            and len({variant for variant, _, _ in group}) > 1
+        ]
+        assert shared
+        for group in shared:
+            rows = group[0][2].rows
+            assert all(features.rows is rows for _, _, features in group)
+
+    @staticmethod
+    def _stream_nest():
+        b = KernelBuilder("tables", Language.C)
+        b.array("a", (4096, 64))
+        b.array("x", (4096, 64))
+        b.array("y", (4096, 64))
+        stmt = b.stmt(
+            AccessSpec("a", ("i", "j"), AccessKind.WRITE),
+            AccessSpec("x", ("i", "j"), AccessKind.READ),
+            AccessSpec("y", ("j", "i"), AccessKind.READ),
+            fma=1,
+        )
+        return b.nest([("i", 4096), ("j", 64)], [stmt])
+
+    def test_streaming_stores_is_part_of_the_key(self, a64fx_machine):
+        nest = self._stream_nest()
+        plain = nest_features(CodegenNestInfo(nest=nest), a64fx_machine)
+        streaming = nest_features(
+            CodegenNestInfo(nest=nest, streaming_stores=True), a64fx_machine
+        )
+        assert plain.rows != streaming.rows
+
+    def test_tile_working_set_is_part_of_the_key(self, a64fx_machine):
+        # Tiling divides the refetches of accesses independent of an
+        # outer loop (gemm's A[i,k] under j), so the rows must differ.
+        nest = build_gemm(256).nests[0]
+        plain = nest_features(CodegenNestInfo(nest=nest), a64fx_machine)
+        tiled = nest_features(
+            CodegenNestInfo(nest=nest, tile_working_set=64 * KiB), a64fx_machine
+        )
+        assert plain.ws_profile == tiled.ws_profile
+        assert plain.rows != tiled.rows
+
+    def test_equal_nests_from_two_variants_share_one_table(self, a64fx_machine):
+        nest = self._stream_nest()
+        a = nest_features(CodegenNestInfo(nest=nest, vec_lanes=8), a64fx_machine)
+        b = nest_features(
+            CodegenNestInfo(nest=pickle.loads(pickle.dumps(nest)), vec_lanes=4),
+            a64fx_machine,
+        )
+        assert a is not b
+        assert a.rows is b.rows and a.ws_profile is b.ws_profile
 
 
 class TestGridCellRanked:

@@ -1,5 +1,8 @@
 """Tests for the noise model and parallel-overhead helpers."""
 
+import hashlib
+import math
+import random
 import statistics
 
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.machine import Placement, Topology
-from repro.perf.noise import noise_multiplier, timer_resolution_floor
+from repro.perf.noise import _unit_normal, noise_multiplier, timer_resolution_floor
 from repro.perf.scaling import numa_spill_penalty, omp_region_overhead_s
 from repro.suites.base import MpiModel
 
@@ -108,6 +111,52 @@ class TestNoiseMoments:
             noise_multiplier(0.005, "explore", "micro.k04", "GNU", "1x12", 0)
             == 1.0000560899441728
         )
+        # The empty key hashes b"u1"/b"u2" (no leading separator), and
+        # key parts format with str(), separators inside them included.
+        assert noise_multiplier(0.05) == 1.035681808060634
+        assert (
+            noise_multiplier(0.1, "a|b", 2.5, -7, None, ("t", 1))
+            == 1.0543467883463975
+        )
+
+
+def _reference_unit_uniform(*key_parts):
+    """The pre-prefix-hashing draw: one sha256 per uniform."""
+    digest = hashlib.sha256("|".join(str(p) for p in key_parts).encode()).digest()
+    return int.from_bytes(digest[:8], "big") / float(1 << 64)
+
+
+def _reference_unit_normal(*key_parts):
+    u1 = _reference_unit_uniform(*key_parts, "u1")
+    u2 = _reference_unit_uniform(*key_parts, "u2")
+    u1 = max(u1, 1e-12)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+class TestUnitNormalExact:
+    """``_unit_normal`` hashes the shared key prefix once; every draw
+    must equal the two-hash reference formula bit for bit."""
+
+    def test_seeded_keys_match_reference(self):
+        rng = random.Random(20211)
+        atoms = [
+            lambda: rng.randrange(-10**6, 10**6),
+            lambda: rng.uniform(-1e3, 1e3),
+            lambda: rng.choice(["", "|", "a|b", "||", "GNU", "u1", "µ|x"]),
+            lambda: "".join(rng.choice("ab|1 ") for _ in range(rng.randrange(6))),
+            lambda: rng.choice([None, True, 0.0, -0.0, float("inf"), (1, "x|y")]),
+        ]
+        keys = [()] + [
+            tuple(rng.choice(atoms)() for _ in range(rng.randrange(1, 7)))
+            for _ in range(2000)
+        ]
+        for key in keys:
+            assert _unit_normal(*key) == _reference_unit_normal(*key), key
+
+    def test_empty_key_has_no_leading_separator(self):
+        assert _unit_normal() == _reference_unit_normal()
+        assert _unit_normal() != _reference_unit_normal("")
+        assert _unit_normal("") == _reference_unit_normal("")
 
 
 class TestOmpOverhead:

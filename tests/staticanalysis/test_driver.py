@@ -50,14 +50,24 @@ class TestAnalyzeKernel:
         assert findings
         assert {f.rule_id for f in findings} == {"RACE001"}
 
-    def test_shared_context_memoizes_deps(self):
+    def test_shared_context_memoizes_deps(self, monkeypatch):
+        from repro.ir import dependence
+
         ctx = AnalysisContext()
         kernel = racy_kernel()
-        analyze_kernel(kernel, ctx=ctx)
-        cached = dict(ctx._deps)
-        analyze_kernel(kernel, ctx=ctx)
-        # Second walk reuses the same dependence sets (same id keys).
-        assert dict(ctx._deps) == cached
+        first = analyze_kernel(kernel, ctx=ctx)
+        facts = ctx.facts(kernel)
+
+        def no_reanalysis(nest):
+            raise AssertionError("dependence set analysed twice")
+
+        monkeypatch.setattr(dependence, "_analyze_dependences", no_reanalysis)
+        # Second walks reuse the same dependence sets (one process memo),
+        # with the same context or a fresh one.
+        assert analyze_kernel(kernel, ctx=ctx) == first
+        assert analyze_kernel(kernel) == first
+        for nf in facts.nests:
+            assert nf.deps is dependence.nest_dependences(nf.nest)
 
     def test_machine_parameter(self):
         # Both machine models must produce findings for the racy kernel.
