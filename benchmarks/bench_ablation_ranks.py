@@ -9,7 +9,7 @@ time-to-solution more often than not".
 import pytest
 
 from repro.machine import Placement, a64fx
-from repro.perf import CompilationCache, benchmark_model
+from repro.perf import CompilationCache, evaluate_placements
 from repro.suites import all_benchmarks
 from repro.suites.base import ParallelKind, ScalingKind
 
@@ -24,9 +24,9 @@ def _regenerate():
             and bench.scaling is ScalingKind.STRONG
         ):
             continue
-        recommended = benchmark_model(
-            bench, "FJtrad", machine, Placement(4, 12), cache=cache
-        )
+        recommended = evaluate_placements(
+            bench, "FJtrad", machine, (Placement(4, 12),), cache=cache
+        )[0]
         if not recommended.valid:
             continue
         # best placement found by the exploration machinery

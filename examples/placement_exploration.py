@@ -11,7 +11,7 @@ Run:  python examples/placement_exploration.py
 
 from repro.harness import explore, placement_candidates
 from repro.machine import Placement, a64fx
-from repro.perf import CompilationCache, benchmark_model
+from repro.perf import CompilationCache, evaluate_placements
 from repro.suites import get_benchmark
 
 BENCHMARKS = ("ecp.comd", "ecp.laghos", "fiber.ccs_qcd", "top500.hpl")
@@ -29,7 +29,7 @@ def main() -> None:
         print(f"candidates: {[str(p) for p in placement_candidates(bench, machine)]}")
         for variant in VARIANTS:
             winner, log, model = explore(bench, variant, machine, cache=cache)
-            rec = benchmark_model(bench, variant, machine, recommended, cache=cache)
+            rec = evaluate_placements(bench, variant, machine, (recommended,), cache=cache)[0]
             verdict = (
                 "recommended OK"
                 if (winner.ranks, winner.threads) == (4, 12)

@@ -23,6 +23,7 @@ a compatibility contract the golden campaign results depend on.
 
 from __future__ import annotations
 
+from repro.compilers.base import CompileStatus
 from repro.compilers.flags import CompilerFlags
 from repro.machine.machine import Machine
 from repro.machine.topology import Placement
@@ -67,16 +68,19 @@ def explore(
 
     The whole candidate sweep is costed in one call to
     :func:`repro.perf.batch.evaluate_placements` (kernels compile once,
-    features extract once, the per-placement arithmetic is batched);
-    the results are bit-identical to evaluating the scalar
-    :func:`repro.perf.cost.benchmark_model` per candidate.
+    features extract once, the per-placement arithmetic is batched).
+    Candidates are scored from its ``times`` vector alone; the full
+    :class:`~repro.perf.cost.ModelResult` breakdown is built only for
+    the winner (or the first candidate of a failed build).  Both are
+    bit-identical to the scalar :func:`repro.perf.cost.benchmark_model`
+    at that candidate.
     """
     cache = cache if cache is not None else CompilationCache()
     candidates = placement_candidates(bench, machine)
     models = evaluate_placements(
         bench, variant, machine, candidates, flags=flags, cache=cache
     )
-    if not models[0].valid:
+    if models.status is not CompileStatus.OK:
         # Build failures are placement-independent; the scalar loop
         # bailed on its first candidate, so hand back the first model —
         # and the first *candidate*, which is legal by construction.
@@ -91,7 +95,7 @@ def explore(
     batch = next(gen)
     scores = tuple(
         fastest_of(
-            model.time_s,
+            time_s,
             bench.noise_cv,
             EXPLORATION_TRIALS,
             "explore",
@@ -99,7 +103,7 @@ def explore(
             variant,
             str(placement),
         )
-        for placement, model in zip(candidates, models)
+        for placement, time_s in zip(candidates, models.times)
     )
     try:
         gen.send(scores)

@@ -18,7 +18,9 @@ the two natural halves:
   scaling/NUMA/OMP corrections applied across *all* placements of a
   cell at once, as numpy elementwise array ops when the placement axis
   is wide (a single placement short-circuits to plain floats — the
-  same IEEE-754 operations without array overhead).
+  same IEEE-754 operations without array overhead).  It returns the
+  placement times first (:class:`PlacementResults`) and assembles a
+  placement's full breakdown only when a caller reads it.
 
 Bit-identity with the scalar oracle is a hard contract: every formula
 below replays the scalar path's operation order (numpy elementwise
@@ -37,7 +39,7 @@ In front of the evaluator sits the redesigned grid API —
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from types import MappingProxyType
 
@@ -77,6 +79,7 @@ __all__ = [
     "GridResult",
     "GridSpec",
     "NestFeatures",
+    "PlacementResults",
     "evaluate_grid",
     "evaluate_placements",
     "nest_features",
@@ -333,6 +336,55 @@ def nest_features(
 # -- batched evaluation ---------------------------------------------------
 
 
+class PlacementResults(Sequence):
+    """The results of one :func:`evaluate_placements` call, times first.
+
+    ``times`` holds every placement's model time (comm included) as
+    plain floats; ``status`` and ``diagnostics`` are the cell's, shared
+    by every placement.  Item ``i``, the full :class:`ModelResult` with
+    its unit and nest breakdown, is built on first access and kept, so
+    a caller that only ranks placements builds no breakdown at all.
+    Otherwise it reads like the tuple it replaces: ``len``, iteration,
+    negative indices, slices (a tuple of results), and element-wise
+    equality with any sequence of results.
+    """
+
+    __slots__ = ("times", "status", "diagnostics", "_build", "_built")
+
+    def __init__(
+        self,
+        times: tuple[float, ...],
+        status: CompileStatus,
+        diagnostics: tuple[str, ...],
+        build: "Callable[[int], ModelResult] | None",
+    ) -> None:
+        self.times = times
+        self.status = status
+        self.diagnostics = diagnostics
+        self._build = build
+        self._built: "list[ModelResult | None]" = [None] * len(times)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self.times))))
+        result = self._built[index]  # IndexError/TypeError as for a tuple
+        if result is None:
+            p = index + len(self.times) if index < 0 else index
+            result = self._built[p] = self._build(p)
+        return result
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"PlacementResults(times={self.times!r}, status={self.status})"
+
+
 def evaluate_placements(
     bench: Benchmark,
     variant: str,
@@ -341,15 +393,17 @@ def evaluate_placements(
     *,
     flags: CompilerFlags | None = None,
     cache: CompilationCache | None = None,
-) -> tuple[ModelResult, ...]:
+) -> PlacementResults:
     """Cost one (benchmark, variant) cell under many placements at once.
 
-    Returns one :class:`~repro.perf.cost.ModelResult` per placement,
-    each bit-identical to ``benchmark_model(bench, variant, machine,
-    placement, ...)`` — the scalar oracle.  Kernels compile once (not
-    once per placement), nest features extract once, and the remaining
-    per-placement arithmetic runs as numpy elementwise operations over
-    the placement axis.
+    Returns a :class:`PlacementResults`: the placement times as one
+    tuple of floats, the cell's status and diagnostics, and one
+    :class:`~repro.perf.cost.ModelResult` per placement, built only
+    when read, each bit-identical to ``benchmark_model(bench, variant,
+    machine, placement, ...)`` — the scalar oracle.  Kernels compile
+    once (not once per placement), nest features extract once, and the
+    remaining per-placement arithmetic runs as numpy elementwise
+    operations over the placement axis.
 
     Raises :class:`~repro.errors.HarnessError` on the first placement
     (in order) the benchmark's constraints reject, exactly where a
@@ -357,7 +411,7 @@ def evaluate_placements(
     """
     placements = tuple(placements)
     if not placements:
-        return ()
+        return PlacementResults((), CompileStatus.OK, (), None)
     for placement in placements:
         if bench.parallel is ParallelKind.SERIAL and placement.total_cores_used > 1:
             raise HarnessError(f"{bench.full_name} is serial; placement {placement} invalid")
@@ -418,16 +472,19 @@ def evaluate_placements(
             diagnostics.extend(compiled.diagnostics)
             if compiled.status is not CompileStatus.OK:
                 # Failed builds fail for every placement: one inf cell each.
-                return tuple(
-                    ModelResult(
+                status, diag = compiled.status, tuple(diagnostics)
+                return PlacementResults(
+                    (float("inf"),) * n,
+                    status,
+                    diag,
+                    lambda p: ModelResult(
                         benchmark=bench.full_name,
                         variant=variant,
-                        placement=placement,
-                        status=compiled.status,
+                        placement=placements[p],
+                        status=status,
                         time_s=float("inf"),
-                        diagnostics=tuple(diagnostics),
-                    )
-                    for placement in placements
+                        diagnostics=diag,
+                    ),
                 )
         compiled_units.append((unit, compiled))
 
@@ -446,8 +503,6 @@ def evaluate_placements(
     serial_bw_raw = machine.memory.bandwidth(1)
 
     total = 0.0 if not batched else np.zeros(n)
-    compute_total = 0.0 if not batched else np.zeros(n)
-    memory_total = 0.0 if not batched else np.zeros(n)
     unit_rows = []
 
     for unit, compiled in compiled_units:
@@ -506,8 +561,6 @@ def evaluate_placements(
                     nest_total = max_terms([cs] + transfers) * features.one_plus_rco
                     memory_s = transfers[-1]
                     kernel = kernel + nest_total
-                    compute_total = compute_total + cs * unit.invocations
-                    memory_total = memory_total + memory_s * unit.invocations
                     nest_rows.append((cs, transfers, memory_s, nest_total, reports))
                 if info.parallel:
                     scaling_q = max(info.omp_scaling_quality, 1e-9)
@@ -540,11 +593,10 @@ def evaluate_placements(
         ))
 
     if batched:
-        total = np.maximum(total, 2e-6)
+        totals = np.maximum(total, 2e-6).tolist()
     else:
-        total = max(total, 2e-6)
+        totals = [max(total, 2e-6)]
 
-    totals = [at(total, p) for p in range(n)]
     comm = [0.0] * n
     if bench.parallel.uses_mpi:
         for p, placement in enumerate(placements):
@@ -552,11 +604,14 @@ def evaluate_placements(
                 t_node_work = totals[p] * placement.total_cores_used / machine.total_cores
                 comm[p] = bench.mpi.comm_time_s(t_node_work, placement.ranks)
                 totals[p] += comm[p]
-
+    times = tuple(totals)
     diag = tuple(diagnostics)
-    results = []
-    for p, placement in enumerate(placements):
+
+    def build(p: int) -> ModelResult:
+        # The compute and memory totals sum the nest terms in the scalar
+        # path's order; an eliminated nest adds an exact zero.
         units = []
+        compute_total = memory_total = 0.0
         for name, kernel, library, omp, nest_rows, invocations in unit_rows:
             nest_times = tuple(
                 NestTime(
@@ -568,6 +623,9 @@ def evaluate_placements(
                 )
                 for cs, transfers, memory_s, nest_total, reports in nest_rows
             )
+            for nest in nest_times:
+                compute_total += nest.compute_s * invocations
+                memory_total += nest.memory_s * invocations
             units.append(
                 UnitBreakdown(
                     kernel_name=name,
@@ -577,21 +635,20 @@ def evaluate_placements(
                     nest_times=nest_times,
                 )
             )
-        results.append(
-            ModelResult(
-                benchmark=bench.full_name,
-                variant=variant,
-                placement=placement,
-                status=CompileStatus.OK,
-                time_s=totals[p],
-                compute_s=at(compute_total, p),
-                memory_s=at(memory_total, p),
-                comm_s=comm[p],
-                units=tuple(units),
-                diagnostics=diag,
-            )
+        return ModelResult(
+            benchmark=bench.full_name,
+            variant=variant,
+            placement=placements[p],
+            status=CompileStatus.OK,
+            time_s=times[p],
+            compute_s=compute_total,
+            memory_s=memory_total,
+            comm_s=comm[p],
+            units=tuple(units),
+            diagnostics=diag,
         )
-    return tuple(results)
+
+    return PlacementResults(times, CompileStatus.OK, diag, build)
 
 
 # -- the grid API ---------------------------------------------------------
@@ -707,6 +764,6 @@ def evaluate_grid(spec: "GridSpec | None" = None, **overrides: object) -> GridRe
                 bench, variant, machine, placements, flags=spec.flags, cache=cache
             )
             cells.append(
-                GridCell(bench.full_name, variant, tuple(placements), results)
+                GridCell(bench.full_name, variant, tuple(placements), tuple(results))
             )
     return GridResult(machine.name, tuple(cells))

@@ -23,7 +23,8 @@ from repro.compilers.flags import CompilerFlags
 from repro.errors import MachineConfigError
 from repro.machine.machine import Machine
 from repro.machine.topology import Placement
-from repro.perf.cost import CompilationCache, benchmark_model
+from repro.perf.batch import evaluate_placements
+from repro.perf.cost import CompilationCache
 from repro.suites.base import Benchmark
 
 
@@ -90,7 +91,9 @@ def benchmark_energy(
 ) -> EnergyReport:
     """Energy-to-solution for one benchmark/variant/placement."""
     pm = power_model_for(machine)
-    result = benchmark_model(bench, variant, machine, placement, flags=flags, cache=cache)
+    result = evaluate_placements(
+        bench, variant, machine, (placement,), flags=flags, cache=cache
+    )[0]
     if not result.valid or result.time_s <= 0:
         return EnergyReport(bench.full_name, variant, float("inf"), pm.idle_w, float("inf"), 0.0)
 

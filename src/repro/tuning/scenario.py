@@ -154,13 +154,15 @@ class PlacementScenario(Scenario):
                 flags=self.flags,
                 cache=cache,
             )
-            for i, model in zip(indices, models):
+            # Times and the cell status only: no breakdown is built.
+            status = _STATUS_MAP.get(models.status, str(models.status.value))
+            for i, placement, time_s in zip(indices, placements, models.times):
                 out[i] = Evaluation(
                     config=configs[i],
-                    time_s=model.time_s,
-                    valid=model.valid,
-                    status=_STATUS_MAP.get(model.status, str(model.status.value)),
-                    placement=model.placement,
+                    time_s=time_s,
+                    valid=models.status is CompileStatus.OK,
+                    status=status,
+                    placement=placement,
                     detail={"variant": variant},
                 )
         return tuple(out)  # type: ignore[arg-type]

@@ -3,9 +3,12 @@
 The scalar :func:`repro.perf.cost.benchmark_model` is the reference
 oracle: the differential tests sweep the full default campaign grid and
 assert the batched path reproduces every scalar ``ModelResult``
-bit-identically, failed-build ``inf`` cells included.  Property tests
-pin the feature-matrix extractor to the scalar traffic/ECM models on
-degenerate (zero-trip) and triangular-approximated nests.
+bit-identically, failed-build ``inf`` cells included, and its times,
+status and diagnostics vectors with them.  ``PlacementResults`` must
+read like the tuple of results it replaced while building a result
+only when one is read.  Property tests pin the feature-matrix extractor
+to the scalar traffic/ECM models on degenerate (zero-trip) and
+triangular-approximated nests.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from repro.api import GridSpec, evaluate_grid
 from repro.compilers.base import CodegenNestInfo, CompileStatus
 from repro.compilers.registry import STUDY_VARIANTS
 from repro.errors import HarnessError
-from repro.harness import placement_candidates
+from repro.harness import STATUS_OK, measure_benchmark, placement_candidates
 from repro.ir import AccessKind, KernelBuilder, Language
 from repro.ir.builder import AccessSpec
 from repro.machine import CacheLevel, Machine, SCALAR, a64fx
@@ -38,6 +41,7 @@ from repro.perf import batch as batch_mod
 from repro.perf.ecm import cycles_per_iteration
 from repro.perf.traffic import nest_traffic
 from repro.suites import all_benchmarks, micro_suite
+from repro.tuning.scenario import PlacementScenario
 from repro.units import KiB, gb_per_s, ghz
 from tests.conftest import build_gemm
 
@@ -56,11 +60,16 @@ class TestDifferentialFullGrid:
                     bench, variant, a64fx_machine, placements, cache=cache
                 )
                 assert len(batched) == len(placements)
-                for placement, got in zip(placements, batched):
+                for i, placement in enumerate(placements):
                     want = benchmark_model(
                         bench, variant, a64fx_machine, placement, cache=cache
                     )
-                    assert got == want, (bench.full_name, variant, placement)
+                    where = (bench.full_name, variant, placement)
+                    assert batched.times[i] == want.time_s, where
+                    assert batched.status is want.status, where
+                    assert batched.diagnostics == want.diagnostics, where
+                    got = batched[i]
+                    assert got == want, where
                     cells += 1
                     if not want.valid:
                         failed += 1
@@ -74,9 +83,13 @@ class TestDifferentialFullGrid:
         bench = micro_suite().get("k22")
         placements = placement_candidates(bench, a64fx_machine)
         results = evaluate_placements(bench, "FJclang", a64fx_machine, placements)
+        assert results.times == (float("inf"),) * len(placements)
+        assert results.status is CompileStatus.COMPILE_ERROR
         for r in results:
             assert not r.valid
             assert r.time_s == float("inf")
+            assert r.status is results.status
+            assert r.diagnostics == results.diagnostics
 
     def test_results_are_plain_floats(self, a64fx_machine):
         # Record times are json-serialized downstream: no numpy scalar
@@ -84,11 +97,116 @@ class TestDifferentialFullGrid:
         bench = micro_suite().get("k04")
         placements = placement_candidates(bench, a64fx_machine)
         assert len(placements) > 1  # exercises the vectorized branch
-        for r in evaluate_placements(bench, "GNU", a64fx_machine, placements):
-            assert type(r.time_s) is float
-            assert type(r.compute_s) is float
-            assert type(r.memory_s) is float
-            assert type(r.comm_s) is float
+        for cell in (placements, placements[3:4]):  # vectorized, single
+            results = evaluate_placements(bench, "GNU", a64fx_machine, cell)
+            assert len(results.times) == len(cell)
+            for t, r in zip(results.times, results):
+                assert type(t) is float and t == r.time_s
+                assert type(r.time_s) is float
+                assert type(r.compute_s) is float
+                assert type(r.memory_s) is float
+                assert type(r.comm_s) is float
+
+
+class TestPlacementResults:
+    """The times-first return type reads like the tuple it replaced."""
+
+    @staticmethod
+    def _cell(machine, name="top500.hpl", variant="GNU"):
+        bench = next(b for b in all_benchmarks() if b.full_name == name)
+        placements = placement_candidates(bench, machine)
+        results = evaluate_placements(bench, variant, machine, placements)
+        oracle = tuple(
+            benchmark_model(bench, variant, machine, p) for p in placements
+        )
+        return results, oracle
+
+    def test_len_iteration_indices_and_slices(self, a64fx_machine):
+        results, oracle = self._cell(a64fx_machine)
+        n = len(oracle)
+        assert n > 4 and len(results) == n
+        assert list(results) == list(oracle)
+        assert results[-1] == oracle[-1]
+        assert results[-n] == oracle[0]
+        for window in (slice(1, 4), slice(None, None, -2), slice(n - 2, None)):
+            assert type(results[window]) is tuple
+            assert results[window] == oracle[window]
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                results[bad]
+        assert results.index(oracle[3]) == 3
+        assert oracle[2] in results
+
+    def test_equality_both_directions(self, a64fx_machine):
+        results, oracle = self._cell(a64fx_machine)
+        assert results == oracle and oracle == results
+        assert results == list(oracle) and list(oracle) == results
+        assert not (results != oracle) and not (oracle != results)
+        assert results != oracle[:-1] and oracle[:-1] != results
+        assert results != oracle[::-1]
+        assert results != 3
+
+    def test_item_is_built_once(self, a64fx_machine):
+        results, _ = self._cell(a64fx_machine)
+        assert results[2] is results[2]
+        assert results[-1] is results[len(results) - 1]
+        assert tuple(results)[2] is results[2]
+
+    def test_empty_placements(self, a64fx_machine):
+        results = evaluate_placements(micro_suite().get("k04"), "GNU", a64fx_machine, ())
+        assert len(results) == 0 and results.times == () and results == ()
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Counts the ModelResult and UnitBreakdown objects repro.perf.batch
+    constructs while the test runs."""
+    counts = {"ModelResult": 0, "UnitBreakdown": 0}
+    for name in counts:
+        real = getattr(batch_mod, name)
+
+        def make(*args, _real=real, _name=name, **kwargs):
+            counts[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(batch_mod, name, make)
+    return counts
+
+
+class TestLazyBreakdown:
+    """Exploration and tuning read the placement times; only a read
+    item builds a ModelResult and its unit breakdowns."""
+
+    def test_measure_builds_only_the_winner(self, a64fx_machine, built):
+        # micro.k22 fails to build under FJclang; every micro cell
+        # explores eight candidates.
+        cache = CompilationCache()
+        failed = 0
+        for bench in micro_suite().benchmarks:
+            assert len(placement_candidates(bench, a64fx_machine)) > 1
+            before = dict(built)
+            record = measure_benchmark(bench, "FJclang", a64fx_machine, cache=cache)
+            models = built["ModelResult"] - before["ModelResult"]
+            units = built["UnitBreakdown"] - before["UnitBreakdown"]
+            assert models == 1, bench.full_name
+            if record.status == STATUS_OK:
+                assert units == len(bench.units), bench.full_name
+            else:
+                failed += 1
+                assert units == 0, bench.full_name
+        assert failed == 1
+
+    def test_placement_scenario_builds_none(self, a64fx_machine, built):
+        bench = next(b for b in all_benchmarks() if b.full_name == "top500.hpl")
+        scenario = PlacementScenario(bench, variants=("GNU", "LLVM"))
+        configs = scenario.space(a64fx_machine).grid()
+        evaluations = scenario.evaluate(configs, a64fx_machine)
+        assert len(evaluations) == len(configs) > 50
+        assert built == {"ModelResult": 0, "UnitBreakdown": 0}
+        failed = PlacementScenario(micro_suite().get("k22"), "FJclang")
+        configs = failed.space(a64fx_machine).grid()
+        assert not any(e.valid for e in failed.evaluate(configs, a64fx_machine))
+        assert built == {"ModelResult": 0, "UnitBreakdown": 0}
 
 
 class TestEvaluateGrid:
@@ -106,6 +224,11 @@ class TestEvaluateGrid:
                 bench, cell.variant, a64fx_machine, cell.placements
             )
             assert cell.results == want
+
+    def test_grid_result_pickles(self):
+        grid = evaluate_grid(suites=("top500",))
+        assert all(type(cell.results) is tuple for cell in grid.cells)
+        assert pickle.loads(pickle.dumps(grid)) == grid
 
     def test_overrides_and_cell_lookup(self):
         grid = evaluate_grid(benchmarks=("polybench.gemm",), variants=("GNU",))

@@ -63,3 +63,27 @@ class TestBenchmarkEnergy:
         report = benchmark_energy(bench, "FJclang", a64fx_machine, Placement(1, 12))
         assert report.energy_j == float("inf")
         assert report.gflops_per_w == 0.0
+
+
+class TestEnergyGoldens:
+    """benchmark_energy reads its model from the batched evaluator; the
+    reports equal the ones the scalar model gave, bit for bit."""
+
+    GOLDENS = (
+        ("top500.hpl", "FJtrad", Placement(4, 12),
+         (13.016645033946382, 161.35987535988576, 2100.364220281464, 15.934019367082124)),
+        ("top500.babelstream", "LLVM", Placement(1, 48),
+         (8.245749850777766, 159.78784647324767, 1317.5706112128826, 0.12224109450326605)),
+        ("polybench.2mm", "FJtrad", Placement(1, 1),
+         (3.105190909090909, 69.68759641035862, 216.39329084984186, 0.018965467847373418)),
+        ("ecp.comd", "GNU", Placement(2, 24),
+         (6.499873128985012, 166.65158871062619, 1083.2141833628611, 0.1997999008174918)),
+        ("micro.k22", "FJclang", Placement(1, 12),
+         (float("inf"), 60.0, float("inf"), 0.0)),
+    )
+
+    @pytest.mark.parametrize("name,variant,placement,want", GOLDENS)
+    def test_bit_identical(self, a64fx_machine, name, variant, placement, want):
+        report = benchmark_energy(get_benchmark(name), variant, a64fx_machine, placement)
+        got = (report.time_s, report.avg_power_w, report.energy_j, report.gflops_per_w)
+        assert got == want
