@@ -11,14 +11,14 @@ needs power-of-two ranks; OpenMP-only codes keep one rank; weak-scaling
 codes (miniAMR, XSBench) skip exploration and use the recommended
 placement.
 
-This module is now a thin shim over the :mod:`repro.tuning` subsystem:
-the candidate set comes from
-:func:`repro.tuning.space.benchmark_placements`, and :func:`explore`
-drives a :class:`repro.tuning.strategies.GridStrategy` over a one-axis
-placement space.  The arithmetic (per-trial noise keys, best-of-three
-minimum, first-wins strict-``<`` tie-break in candidate order) is
-bit-identical to the original in-line sweep — ``explore()`` winners are
-a compatibility contract the golden campaign results depend on.
+The candidate set comes from
+:func:`repro.tuning.space.benchmark_placements`, and the winner is
+picked by :func:`repro.tuning.strategies.select_best`, the rule every
+tuning strategy uses.  The arithmetic (per-trial noise keys,
+best-of-three minimum, first-wins strict-``<`` tie-break in candidate
+order) is bit-identical to the original in-line sweep — ``explore()``
+winners are a compatibility contract the golden campaign results
+depend on.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from repro.machine.topology import Placement
 from repro.perf.batch import evaluate_placements
 from repro.perf.cost import CompilationCache, ModelResult
 from repro.suites.base import Benchmark
-from repro.tuning.space import benchmark_placements, placement_space
-from repro.tuning.strategies import GridStrategy, fastest_of
+from repro.tuning.space import benchmark_placements
+from repro.tuning.strategies import fastest_of, select_best
 
 #: Trial runs per placement candidate (Sec. 2.4).
 EXPLORATION_TRIALS = 3
@@ -86,13 +86,8 @@ def explore(
         # and the first *candidate*, which is legal by construction.
         return candidates[0], (), models[0]
 
-    # The grid strategy over the one-axis placement space proposes the
-    # candidates in their canonical order and applies the historical
-    # first-wins strict-< tie-break; the scores are the paper's
-    # best-of-three noisy trials, computed with the same operations in
-    # the same order as the original in-line loop.
-    gen = GridStrategy(trials=EXPLORATION_TRIALS).run(placement_space(candidates))
-    batch = next(gen)
+    # The paper's best-of-three noisy trials per candidate; the first
+    # strictly fastest wins.
     scores = tuple(
         fastest_of(
             time_s,
@@ -105,12 +100,7 @@ def explore(
         )
         for placement, time_s in zip(candidates, models.times)
     )
-    try:
-        gen.send(scores)
-        raise AssertionError("grid strategy must finish after one batch")
-    except StopIteration as stop:
-        winner = stop.value
-    winner_index = next(i for i, cand in enumerate(batch) if cand is winner)
+    winner_index = select_best(candidates, scores)
 
     log = tuple(
         (placement.ranks, placement.threads, score)

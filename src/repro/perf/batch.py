@@ -8,28 +8,31 @@ on the (kernel, machine) pair.  This module splits the evaluation into
 the two natural halves:
 
 * **feature extraction** (:class:`NestFeatures`) — one pass per
-  (compiled nest, machine): op counts, trip counts, the line-granular
-  working-set profile, and a traffic table keyed by layer-condition fit
-  depth, computed with the exact per-access loop of
-  :mod:`repro.perf.traffic` once per distinct (nest, tiling,
-  streaming-store, line size) content and shared across variants;
-* **batched evaluation** (:func:`evaluate_placements`) — the
-  `cycles_per_iteration`/`nest_time` arithmetic and the
-  scaling/NUMA/OMP corrections applied across *all* placements of a
-  cell at once, as numpy elementwise array ops when the placement axis
-  is wide (a single placement short-circuits to plain floats — the
-  same IEEE-754 operations without array overhead).  It returns the
-  placement times first (:class:`PlacementResults`) and assembles a
-  placement's full breakdown only when a caller reads it.
+  (compiled nest, machine) that calls the scalar model's own formulas:
+  :func:`repro.perf.ecm.cycles_per_iteration` for the in-core term,
+  :func:`repro.perf.ecm.irregular_rate_per_core` for the latency-bound
+  rate, and :mod:`repro.perf.traffic`'s per-fit rows (``_fit_rows``,
+  ``_block_factor``) for a traffic table keyed by layer-condition fit
+  depth, built once per distinct (nest, tiling, streaming-store, line
+  size) content and shared across variants;
+* **batched evaluation** (:func:`evaluate_placements`) — the placements'
+  geometry from :func:`repro.perf.cost.placement_geometry`, then the
+  `nest_time` transfer arithmetic and the scaling/NUMA/OMP corrections
+  applied across *all* placements of a cell at once, as numpy
+  elementwise array ops when the placement axis is wide (a single
+  placement short-circuits to plain floats — the same IEEE-754
+  operations without array overhead).  It returns the placement times
+  first (:class:`PlacementResults`) and assembles a placement's full
+  breakdown only when a caller reads it.
 
-Bit-identity with the scalar oracle is a hard contract: every formula
-below replays the scalar path's operation order (numpy elementwise
+That placement-axis arithmetic is the only part of the model written
+twice.  It replays the scalar path's operation order (numpy elementwise
 ``+ - * / min max`` on float64 are IEEE-identical per element; sums
 stay sequential in scalar order; transcendentals stay in :mod:`math`),
 so ``evaluate_placements(...)[i] == benchmark_model(..., placements[i])``
 exactly, including failed-build ``inf`` cells and diagnostics order.
-``tests/perf/test_batch.py`` sweeps the full default grid to enforce
-this.
+``benchmark_model`` stays as the reference: ``tests/perf/test_batch.py``
+sweeps the full default grid against it.
 
 In front of the evaluator sits the redesigned grid API —
 :class:`GridSpec` / :func:`evaluate_grid` — re-exported from
@@ -38,7 +41,6 @@ In front of the evaluator sits the redesigned grid API —
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, replace
 from types import MappingProxyType
@@ -48,9 +50,7 @@ import numpy as np
 from repro.compilers.base import CodegenNestInfo, CompileStatus
 from repro.compilers.flags import CompilerFlags
 from repro.compilers.registry import STUDY_VARIANTS
-from repro.errors import HarnessError
 from repro.ir.loop import LoopNest
-from repro.ir.types import AccessKind
 from repro.libs.mathlib import library_time_s
 from repro.machine.machine import Machine
 from repro.machine.topology import Placement
@@ -59,20 +59,20 @@ from repro.perf.cost import (
     CompilationCache,
     ModelResult,
     UnitBreakdown,
-    _rank_geometry,
     machine_memo_key,
+    placement_geometry,
 )
-from repro.perf.ecm import NestTime, _body_ops
-from repro.perf.scaling import numa_spill_penalty, omp_region_overhead_s
+from repro.perf.ecm import NestTime, cycles_per_iteration, irregular_rate_per_core
+from repro.perf.scaling import omp_region_overhead_s
 from repro.perf.traffic import (
-    BoundaryTraffic,
     TrafficReport,
-    _bytes_per_distinct_element,
-    _fit_depth,
-    _misses_beyond,
+    _block_factor,
+    _empty_report,
+    _fit_rows,
+    _report,
     _resident_ws_profile,
 )
-from repro.suites.base import Benchmark, ParallelKind, ScalingKind
+from repro.suites.base import Benchmark
 
 __all__ = [
     "GridCell",
@@ -89,8 +89,8 @@ __all__ = [
 # -- feature extraction ---------------------------------------------------
 
 
-# Traffic rows per (fit depth, source-is-memory), aggregated with the
-# exact per-access loop of repro.perf.traffic.nest_traffic.  The
+# Traffic rows per (fit depth, source-is-memory), from the same
+# per-fit aggregation as repro.perf.traffic.nest_traffic.  The
 # placement only picks *which* row applies (via the shared cache's
 # effective capacity), never changes a row's value.
 def _traffic_rows(
@@ -101,44 +101,12 @@ def _traffic_rows(
 ) -> "tuple[tuple[float, ...], dict[tuple[int, bool], tuple[float, float, float]]]":
     trips = {l.var: l.trip_count for l in nest.loops}
     ws_profile = _resident_ws_profile(nest, line)
-
-    block_factor = 1.0
-    if tile_working_set is not None and ws_profile[0] > tile_working_set:
-        n_arrays = max(1, len(nest.arrays))
-        elem = 8
-        side = math.sqrt(tile_working_set / (elem * n_arrays))
-        block_factor = max(1.0, side)
-
+    block_factor = _block_factor(nest, tile_working_set, ws_profile)
     rows: dict[tuple[int, bool], tuple[float, float, float]] = {}
     for fit in range(nest.depth + 1):
-        captured_vars = frozenset(l.var for l in nest.loops[max(fit - 1, 0):])
-        per_access = []
-        for acc in nest.accesses:
-            fetch_bytes_per_element = _bytes_per_distinct_element(acc, captured_vars, line)
-            misses = _misses_beyond(acc, nest, fit, trips, block_factor)
-            volume = misses * fetch_bytes_per_element
-            irregular = acc.indirect or fetch_bytes_per_element >= line
-            per_access.append((acc.kind, volume, irregular))
-        for is_memory in (False, True):
-            read_bytes = 0.0
-            write_bytes = 0.0
-            irregular_bytes = 0.0
-            for kind, volume, irregular in per_access:
-                if kind is AccessKind.READ:
-                    read_bytes += volume
-                    if irregular:
-                        irregular_bytes += volume
-                elif kind is AccessKind.WRITE:
-                    write_bytes += volume
-                    if is_memory and not streaming_stores:
-                        read_bytes += volume
-                else:  # UPDATE: read-modify-write
-                    read_bytes += volume
-                    write_bytes += volume
-                    if irregular:
-                        irregular_bytes += volume
-            frac = irregular_bytes / read_bytes if read_bytes > 0 else 0.0
-            rows[(fit, is_memory)] = (read_bytes, write_bytes, min(1.0, frac))
+        rows[(fit, False)], rows[(fit, True)] = _fit_rows(
+            nest, fit, trips, block_factor, line, streaming_stores
+        )
     return ws_profile, rows
 
 
@@ -165,21 +133,18 @@ class NestFeatures:
     """The per-(nest, machine) feature matrix of the batched evaluator.
 
     Everything :func:`repro.perf.ecm.nest_time` needs that does *not*
-    depend on the placement: in-core cycles per iteration (from the op
-    counts), the working-set profile, and per-fit-depth traffic rows
-    aggregated with the scalar model's per-access loop.  Evaluating one
-    placement then reduces to ``effective_capacity -> fit depth ->
-    table row`` plus a handful of float ops.
+    depend on the placement: in-core cycles per iteration, the
+    latency-bound rate per core, the working-set profile, and
+    per-fit-depth traffic rows, each from the scalar model's own
+    function.  Evaluating one placement then reduces to
+    ``effective_capacity -> fit depth -> table row`` plus a handful of
+    float ops.
     """
 
     __slots__ = (
         "info",
         "machine",
         "iterations",
-        "trip_counts",
-        "n_loads",
-        "n_stores",
-        "n_indirect",
         "eliminated",
         "empty",
         "cpi",
@@ -187,7 +152,6 @@ class NestFeatures:
         "rows",
         "irr_rate_per_core",
         "one_plus_rco",
-        "_empty_report",
         "_traffic_memo",
     )
 
@@ -196,19 +160,10 @@ class NestFeatures:
         self.machine = machine
         nest = info.nest
         self.iterations = nest.iterations
-        self.trip_counts = tuple(l.trip_count for l in nest.loops)
-        self.n_loads = sum(1 for a in nest.accesses if a.kind.reads)
-        self.n_stores = sum(1 for a in nest.accesses if a.kind.writes)
-        self.n_indirect = sum(1 for a in nest.accesses if a.indirect)
         self.eliminated = info.eliminated
         self.empty = info.eliminated or nest.iterations == 0
         self.one_plus_rco = 1.0 + info.runtime_check_overhead
         self._traffic_memo: dict[int, TrafficReport] = {}
-
-        names = [lvl.name for lvl in machine.cache_levels[1:]] + ["memory"]
-        self._empty_report = TrafficReport(
-            tuple(BoundaryTraffic(name, 0.0, 0.0) for name in names)
-        )
         if self.eliminated:
             # The scalar path never costs an eliminated nest; keep the
             # extractor from touching annotations it may not have.
@@ -218,80 +173,13 @@ class NestFeatures:
             self.irr_rate_per_core = 0.0
             return
 
-        self.cpi = self._cycles_per_iteration(_body_ops(info))
+        self.cpi = cycles_per_iteration(info, machine)
         if self.empty:
             self.ws_profile = ()
             self.rows = {}
         else:
             self.ws_profile, self.rows = _traffic_table(info, machine.line_bytes)
-
-        # Irregular (latency-bound) stream rate per core: placement
-        # independent.  The line size comes from the machine model via
-        # MemorySystem.latency_bound_rate — one geometry source for the
-        # batch and scalar paths.
-        if info.latency_serialized:
-            concurrency = 1.3
-        else:
-            prefetch = max(info.sw_prefetch, machine.hw_prefetch_quality * 0.3)
-            concurrency = 4.0 + 28.0 * prefetch
-        latency = machine.memory.latency
-        if not info.large_pages:
-            latency *= 1.0 + 12e-9 / machine.memory.latency * (
-                65536 / max(machine.base_page_bytes, 4096)
-            ) * 0.25
-        self.irr_rate_per_core = machine.memory.latency_bound_rate(
-            concurrency, machine.line_bytes, latency=latency
-        )
-
-    # The in-core model, evaluated once from the extracted op counts.
-    # Operation-for-operation the same arithmetic as
-    # repro.perf.ecm.cycles_per_iteration (the differential tests hold
-    # the two implementations together).
-    def _cycles_per_iteration(self, ops) -> float:
-        info, machine = self.info, self.machine
-        core = machine.core
-
-        lanes = info.vec_lanes if info.vectorized else 1
-        vec_eff = info.vec_efficiency if info.vectorized else 1.0
-
-        fp_instr = (
-            ops.fp_instructions if info.fma_contracted else ops.fp_instructions_uncontracted
-        )
-        fp_simple = max(0.0, fp_instr - ops.fdiv - ops.fsqrt - ops.fspecial)
-        fp_cycles = fp_simple / (lanes * core.fp_pipes * vec_eff) if fp_simple else 0.0
-        dtype = info.dominant_dtype
-        width_ratio = min(1.0, (lanes * dtype.size * 8) / core.fp_pipe_bits)
-        slow_scale = math.sqrt(width_ratio)
-        fp_cycles += ops.fdiv * core.fdiv_cycles * slow_scale / lanes
-        fp_cycles += ops.fsqrt * core.fsqrt_cycles * slow_scale / lanes
-        fp_cycles += (
-            ops.fspecial
-            * core.fspecial_cycles
-            * slow_scale
-            / (lanes * max(info.math_library_quality, 1e-9))
-        )
-
-        n_loads, n_stores = self.n_loads, self.n_stores
-        ls_cycles = (
-            n_loads / (lanes * core.load_ports) + n_stores / (lanes * core.store_ports)
-        ) / max(vec_eff, 1e-9) if (n_loads or n_stores) else 0.0
-        if info.uses_gather:
-            ls_cycles += self.n_indirect * info.vector_isa.gather_cost_per_element
-
-        int_cycles = ops.iops / (core.int_pipes * (lanes if info.vectorized else 1))
-        branch_cycles = ops.branches * (1.0 + 0.05 * core.branch_miss_penalty)
-
-        cycles = max(fp_cycles, ls_cycles) + int_cycles + branch_cycles
-
-        if info.vectorized:
-            sched = min(1.0, 0.25 + 0.75 * core.ooo_quality + 0.05 * math.log2(max(info.unroll_factor, 1)))
-        else:
-            sched = min(1.0, core.ooo_quality + 0.07 * math.log2(max(info.unroll_factor, 1)))
-            cycles /= max(info.scalar_quality, 1e-9)
-        cycles /= max(sched, 1e-9)
-
-        cycles += 1.0 / (max(info.unroll_factor, 1) * lanes)
-        return cycles
+        self.irr_rate_per_core = irregular_rate_per_core(info, machine)
 
     def traffic_for(self, active_cores_per_domain: int) -> TrafficReport:
         """The nest's traffic report for one active-core count (memoized)."""
@@ -299,19 +187,14 @@ class NestFeatures:
         if report is not None:
             return report
         if self.empty:
-            report = self._empty_report
+            report = _empty_report(self.machine)
         else:
-            machine = self.machine
-            boundaries = []
-            n_levels = len(machine.cache_levels)
-            for idx, level in enumerate(machine.cache_levels):
-                capacity = level.effective_capacity(active_cores_per_domain)
-                fit = _fit_depth(self.ws_profile, capacity)
-                is_memory = idx + 1 >= n_levels
-                source = "memory" if is_memory else machine.cache_levels[idx + 1].name
-                read_bytes, write_bytes, frac = self.rows[(fit, is_memory)]
-                boundaries.append(BoundaryTraffic(source, read_bytes, write_bytes, frac))
-            report = TrafficReport(tuple(boundaries))
+            report = _report(
+                self.machine,
+                self.ws_profile,
+                active_cores_per_domain,
+                lambda fit, is_memory: self.rows[(fit, is_memory)],
+            )
         self._traffic_memo[active_cores_per_domain] = report
         return report
 
@@ -405,23 +288,18 @@ def evaluate_placements(
     remaining per-placement arithmetic runs as numpy elementwise
     operations over the placement axis.
 
-    Raises :class:`~repro.errors.HarnessError` on the first placement
-    (in order) the benchmark's constraints reject, exactly where a
-    scalar loop over the placements would have raised.
+    Before compiling anything, raises what
+    :func:`~repro.perf.cost.placement_geometry` raises for the first
+    placement (in order) it rejects, exactly where a scalar loop over
+    the placements would have raised.
     """
     placements = tuple(placements)
     if not placements:
         return PlacementResults((), CompileStatus.OK, (), None)
-    for placement in placements:
-        if bench.parallel is ParallelKind.SERIAL and placement.total_cores_used > 1:
-            raise HarnessError(f"{bench.full_name} is serial; placement {placement} invalid")
-        if not bench.parallel.uses_mpi and placement.ranks > 1:
-            raise HarnessError(f"{bench.full_name} has no MPI; placement {placement} invalid")
-        if bench.pow2_ranks and placement.ranks & (placement.ranks - 1):
-            raise HarnessError(f"{bench.full_name} requires power-of-two ranks")
+    (threads_list, rank_domains_list, bw_share_list, wf_list, acpd_list,
+     spill_list) = zip(*(placement_geometry(bench, machine, p) for p in placements))
 
     cache = cache if cache is not None else CompilationCache()
-    topo = machine.topology
     n = len(placements)
     batched = n > 1
     if batched:
@@ -434,32 +312,6 @@ def evaluate_placements(
         minimum = min
         max_terms = max
         at = lambda x, p: x  # noqa: E731
-
-    # Per-placement geometry, via the same helpers as the scalar path.
-    threads_list: list[int] = []
-    rank_domains_list: list[int] = []
-    bw_share_list: list[float] = []
-    wf_list: list[float] = []
-    acpd_list: list[int] = []
-    spill_list: list[float] = []
-    for placement in placements:
-        threads, rank_domains, bw_share = _rank_geometry(bench, machine, placement)
-        work_fraction = (
-            1.0 / placement.ranks
-            if bench.parallel.uses_mpi and bench.scaling is ScalingKind.STRONG
-            else 1.0
-        )
-        domains_used = placement.domains_used(topo)
-        acpd = max(1, min(
-            topo.cores_per_domain,
-            -(-placement.total_cores_used // domains_used),
-        ))
-        threads_list.append(threads)
-        rank_domains_list.append(rank_domains)
-        bw_share_list.append(bw_share)
-        wf_list.append(work_fraction)
-        acpd_list.append(acpd)
-        spill_list.append(numa_spill_penalty(placement, topo))
 
     # Compile each unit's kernel once; diagnostics accumulate in unit
     # order, exactly as every scalar call would have accumulated them.

@@ -253,20 +253,54 @@ class CompilationCache:
         )
 
 
-def _rank_geometry(bench: Benchmark, machine: Machine, placement: Placement) -> tuple[int, int, float]:
-    """(threads per rank, domains per rank, bandwidth share per rank)."""
+def check_placement(bench: Benchmark, placement: Placement) -> None:
+    """Raise :class:`HarnessError` if the benchmark cannot run under
+    ``placement`` (serial, OpenMP-only and power-of-two-rank codes)."""
+    if bench.parallel is ParallelKind.SERIAL and placement.total_cores_used > 1:
+        raise HarnessError(f"{bench.full_name} is serial; placement {placement} invalid")
+    if not bench.parallel.uses_mpi and placement.ranks > 1:
+        raise HarnessError(f"{bench.full_name} has no MPI; placement {placement} invalid")
+    if bench.pow2_ranks and placement.ranks & (placement.ranks - 1):
+        raise HarnessError(f"{bench.full_name} requires power-of-two ranks")
+
+
+def placement_geometry(
+    bench: Benchmark, machine: Machine, placement: Placement
+) -> tuple[int, int, float, float, int, float]:
+    """What the cost model reads of one checked placement.
+
+    Returns ``(threads, rank_domains, bandwidth_share, work_fraction,
+    active_cores_per_domain, numa_penalty)``: threads per rank (capped
+    at the benchmark's useful maximum), NUMA domains per rank, a rank's
+    share of its domains' bandwidth, a rank's share of the iteration
+    space, busy cores per used domain, and the NUMA spill penalty.
+    Raises :class:`HarnessError` (:func:`check_placement`) or
+    :class:`~repro.errors.PlacementError` (too many cores) first.
+    """
+    check_placement(bench, placement)
     topo = machine.topology
-    placement.validate(topo)
+    domains_used = placement.domains_used(topo)  # validates the core count
     threads = placement.threads
     if bench.max_useful_threads is not None:
         threads = min(threads, bench.max_useful_threads)
-    domains_used = placement.domains_used(topo)
     # A rank spans ceil(threads / cores_per_domain) domains.
     rank_domains = min(topo.numa_domains, -(-placement.threads // topo.cores_per_domain))
     # Ranks sharing a domain split its bandwidth.
     ranks_per_domain = placement.ranks * rank_domains / domains_used
     share = 1.0 / ranks_per_domain
-    return threads, rank_domains, share
+    work_fraction = (
+        1.0 / placement.ranks
+        if bench.parallel.uses_mpi and bench.scaling is ScalingKind.STRONG
+        else 1.0
+    )
+    # Memory saturation is driven by ALL cores active on a domain (ranks
+    # co-located on a CMG saturate it together; the share then splits it).
+    acpd = max(1, min(
+        topo.cores_per_domain,
+        -(-placement.total_cores_used // domains_used),
+    ))
+    spill = numa_spill_penalty(placement, topo)
+    return threads, rank_domains, share, work_fraction, acpd, spill
 
 
 def benchmark_model(
@@ -279,28 +313,10 @@ def benchmark_model(
     cache: CompilationCache | None = None,
 ) -> ModelResult:
     """Ideal ROI time for one benchmark/variant/placement combination."""
-    if bench.parallel is ParallelKind.SERIAL and placement.total_cores_used > 1:
-        raise HarnessError(f"{bench.full_name} is serial; placement {placement} invalid")
-    if not bench.parallel.uses_mpi and placement.ranks > 1:
-        raise HarnessError(f"{bench.full_name} has no MPI; placement {placement} invalid")
-    if bench.pow2_ranks and placement.ranks & (placement.ranks - 1):
-        raise HarnessError(f"{bench.full_name} requires power-of-two ranks")
-
-    cache = cache if cache is not None else CompilationCache()
-    threads, rank_domains, bw_share = _rank_geometry(bench, machine, placement)
-    work_fraction = (
-        1.0 / placement.ranks
-        if bench.parallel.uses_mpi and bench.scaling is ScalingKind.STRONG
-        else 1.0
+    threads, rank_domains, bw_share, work_fraction, acpd, spill = placement_geometry(
+        bench, machine, placement
     )
-    # Memory saturation is driven by ALL cores active on a domain (ranks
-    # co-located on a CMG saturate it together; bw_share then splits it).
-    domains_used = placement.domains_used(machine.topology)
-    acpd = max(1, min(
-        machine.topology.cores_per_domain,
-        -(-placement.total_cores_used // domains_used),
-    ))
-    spill = numa_spill_penalty(placement, machine.topology)
+    cache = cache if cache is not None else CompilationCache()
 
     total = 0.0
     compute_total = 0.0

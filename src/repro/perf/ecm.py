@@ -115,6 +115,29 @@ def cycles_per_iteration(info: CodegenNestInfo, machine: Machine) -> float:
     return cycles
 
 
+def irregular_rate_per_core(info: CodegenNestInfo, machine: Machine) -> float:
+    """Bytes/s one core moves on the nest's latency-bound memory streams."""
+    # Concurrency-limited: outstanding lines per core set by the
+    # hardware MSHRs plus software prefetch coverage — unless each
+    # miss's address depends on the previous one (dependent-load
+    # chains), which serializes everything.
+    if info.latency_serialized:
+        concurrency = 1.3
+    else:
+        prefetch = max(info.sw_prefetch, machine.hw_prefetch_quality * 0.3)
+        concurrency = 4.0 + 28.0 * prefetch
+    # Scattered streams also miss the TLB; huge pages (-Klargepage)
+    # remove the page-walk latency add-on.
+    latency = machine.memory.latency
+    if not info.large_pages:
+        latency *= 1.0 + 12e-9 / machine.memory.latency * (
+            65536 / max(machine.base_page_bytes, 4096)
+        ) * 0.25
+    return machine.memory.latency_bound_rate(
+        concurrency, machine.line_bytes, latency=latency
+    )
+
+
 def nest_time(
     info: CodegenNestInfo,
     machine: Machine,
@@ -166,26 +189,7 @@ def nest_time(
             )
             t = regular / bw if regular else 0.0
             if irregular:
-                # Concurrency-limited: outstanding lines per core set by
-                # the hardware MSHRs plus software prefetch coverage —
-                # unless each miss's address depends on the previous one
-                # (dependent-load chains), which serializes everything.
-                if info.latency_serialized:
-                    concurrency = 1.3
-                else:
-                    prefetch = max(info.sw_prefetch, machine.hw_prefetch_quality * 0.3)
-                    concurrency = 4.0 + 28.0 * prefetch
-                # Scattered streams also miss the TLB; huge pages
-                # (-Klargepage) remove the page-walk latency add-on.
-                latency = machine.memory.latency
-                if not info.large_pages:
-                    latency *= 1.0 + 12e-9 / machine.memory.latency * (
-                        65536 / max(machine.base_page_bytes, 4096)
-                    ) * 0.25
-                rate_per_core = machine.memory.latency_bound_rate(
-                    concurrency, machine.line_bytes, latency=latency
-                )
-                rate = min(rate_per_core * threads, bw)
+                rate = min(irregular_rate_per_core(info, machine) * threads, bw)
                 t += irregular / rate
             transfer.append(t * numa_penalty)
         else:

@@ -27,6 +27,7 @@ The test suite cross-validates these estimates against the trace-based
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.compilers.base import CodegenNestInfo
@@ -176,6 +177,92 @@ def _misses_beyond(
     return outer_independent * distinct
 
 
+def _block_factor(
+    nest: LoopNest, tile_working_set: "int | None", ws_profile: "tuple[float, ...]"
+) -> float:
+    """Refetch divisor of a Polly-tiled nest (1.0 when untiled).
+
+    A per-tile working set T fitting level c divides the refetch
+    multipliers by the block trip count b ~ (ws / T) rooted in the tiled
+    dimensionality; we use the conservative square-block b.
+    """
+    block_factor = 1.0
+    if tile_working_set is not None and ws_profile[0] > tile_working_set:
+        n_arrays = max(1, len(nest.arrays))
+        elem = 8
+        side = math.sqrt(tile_working_set / (elem * n_arrays))
+        block_factor = max(1.0, side)
+    return block_factor
+
+
+_Row = tuple[float, float, float]
+
+
+def _fit_rows(
+    nest: LoopNest,
+    fit: int,
+    trips: dict[str, int],
+    block_factor: float,
+    line: int,
+    streaming_stores: bool,
+) -> tuple[_Row, _Row]:
+    """``(read, write, latency-exposed fraction)`` bytes of a boundary
+    whose upper level captures reuse from loop depth ``fit`` on: the
+    cache row, then the memory row (which adds write-allocate reads
+    unless stores stream)."""
+    captured_vars = frozenset(l.var for l in nest.loops[max(fit - 1, 0):])
+    read_bytes = memory_read_bytes = write_bytes = irregular_bytes = 0.0
+    for acc in nest.accesses:
+        fetch_bytes_per_element = _bytes_per_distinct_element(acc, captured_vars, line)
+        misses = _misses_beyond(acc, nest, fit, trips, block_factor)
+        volume = misses * fetch_bytes_per_element
+        irregular = acc.indirect or fetch_bytes_per_element >= line
+        if acc.kind is AccessKind.WRITE:
+            write_bytes += volume
+            if not streaming_stores:
+                # Write-allocate: the line is read before the store.
+                memory_read_bytes += volume
+            continue
+        read_bytes += volume
+        memory_read_bytes += volume
+        if acc.kind is AccessKind.UPDATE:  # read-modify-write
+            write_bytes += volume
+        if irregular:
+            irregular_bytes += volume
+
+    def row(reads: float) -> _Row:
+        frac = irregular_bytes / reads if reads > 0 else 0.0
+        return reads, write_bytes, min(1.0, frac)
+
+    return row(read_bytes), row(memory_read_bytes)
+
+
+def _empty_report(machine: Machine) -> TrafficReport:
+    """The all-zero report of a nest that never runs."""
+    levels = [lvl.name for lvl in machine.cache_levels[1:]] + ["memory"]
+    return TrafficReport(tuple(BoundaryTraffic(name, 0.0, 0.0) for name in levels))
+
+
+def _report(
+    machine: Machine,
+    ws_profile: "tuple[float, ...]",
+    active_cores_per_domain: int,
+    row: "Callable[[int, bool], _Row]",
+) -> TrafficReport:
+    """One boundary per cache level: boundary i lies between
+    ``cache_levels[i]`` and ``cache_levels[i+1]`` (or memory), and
+    ``row(fit, is_memory)`` gives its bytes at level i's fit depth."""
+    boundaries: list[BoundaryTraffic] = []
+    n_levels = len(machine.cache_levels)
+    for idx, level_above in enumerate(machine.cache_levels):
+        capacity = level_above.effective_capacity(active_cores_per_domain)
+        fit = _fit_depth(ws_profile, capacity)
+        is_memory = idx + 1 >= n_levels
+        source = "memory" if is_memory else machine.cache_levels[idx + 1].name
+        boundaries.append(BoundaryTraffic(source, *row(fit, is_memory)))
+    return TrafficReport(tuple(boundaries))
+
+
 def nest_traffic(
     info: CodegenNestInfo,
     machine: Machine,
@@ -184,69 +271,17 @@ def nest_traffic(
     """Traffic report for one execution of a compiled nest."""
     nest = info.nest
     if info.eliminated or nest.iterations == 0:
-        levels = [lvl.name for lvl in machine.cache_levels[1:]] + ["memory"]
-        return TrafficReport(
-            tuple(BoundaryTraffic(name, 0.0, 0.0) for name in levels)
-        )
+        return _empty_report(machine)
 
     trips = {l.var: l.trip_count for l in nest.loops}
     line = machine.line_bytes
     ws_profile = _resident_ws_profile(nest, line)
-
-    # Polly tiling: per-tile working set T fitting level c divides the
-    # refetch multipliers by the block trip count b ~ (ws / T) rooted in
-    # the tiled dimensionality; we use the conservative square-block b.
-    block_factor = 1.0
-    if info.tile_working_set is not None and ws_profile[0] > info.tile_working_set:
-        n_arrays = max(1, len(nest.arrays))
-        elem = 8
-        side = math.sqrt(info.tile_working_set / (elem * n_arrays))
-        block_factor = max(1.0, side)
-
-    boundaries: list[BoundaryTraffic] = []
-    # Boundary i: between cache_levels[i] and cache_levels[i+1] (or memory).
-    for idx in range(len(machine.cache_levels)):
-        level_above = machine.cache_levels[idx]
-        capacity = level_above.effective_capacity(active_cores_per_domain)
-        fit = _fit_depth(ws_profile, capacity)
-        source = (
-            machine.cache_levels[idx + 1].name
-            if idx + 1 < len(machine.cache_levels)
-            else "memory"
-        )
-        captured_vars = frozenset(
-            l.var for l in nest.loops[max(fit - 1, 0):]
-        )
-        read_bytes = 0.0
-        write_bytes = 0.0
-        irregular_bytes = 0.0
-        for acc in nest.accesses:
-            fetch_bytes_per_element = _bytes_per_distinct_element(acc, captured_vars, line)
-            misses = _misses_beyond(acc, nest, fit, trips, block_factor)
-            volume = misses * fetch_bytes_per_element
-            irregular = acc.indirect or fetch_bytes_per_element >= line
-            if acc.kind is AccessKind.READ:
-                read_bytes += volume
-                if irregular:
-                    irregular_bytes += volume
-            elif acc.kind is AccessKind.WRITE:
-                write_bytes += volume
-                if source == "memory" and not info.streaming_stores:
-                    # Write-allocate: the line is read before the store.
-                    read_bytes += volume
-            else:  # UPDATE: read-modify-write
-                read_bytes += volume
-                write_bytes += volume
-                if irregular:
-                    irregular_bytes += volume
-        total_read = read_bytes
-        frac = irregular_bytes / total_read if total_read > 0 else 0.0
-        boundaries.append(
-            BoundaryTraffic(
-                source=source,
-                read_bytes=read_bytes,
-                write_bytes=write_bytes,
-                latency_exposed_fraction=min(1.0, frac),
-            )
-        )
-    return TrafficReport(tuple(boundaries))
+    block_factor = _block_factor(nest, info.tile_working_set, ws_profile)
+    return _report(
+        machine,
+        ws_profile,
+        active_cores_per_domain,
+        lambda fit, is_memory: _fit_rows(
+            nest, fit, trips, block_factor, line, info.streaming_stores
+        )[is_memory],
+    )

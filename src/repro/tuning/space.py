@@ -11,8 +11,8 @@ produces the same candidates on every node and every run — the property
 the journal-resume and content-addressed caching layers build on.
 
 The module sits *below* the harness: it imports only the machine
-topology and suite metadata, so :mod:`repro.harness.exploration` can be
-a thin shim over it without an import cycle.
+topology and suite metadata, so :mod:`repro.harness.exploration` can
+take its candidates from it without an import cycle.
 """
 
 from __future__ import annotations

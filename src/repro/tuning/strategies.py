@@ -101,8 +101,8 @@ class Strategy:
 class GridStrategy(Strategy):
     """Exhaustive sweep: every config once, at full fidelity.
 
-    This is the paper's exploration phase generalized: ``explore()`` is
-    a thin shim over this strategy on a one-axis placement space.
+    This is the paper's exploration phase generalized: on a one-axis
+    placement space it picks the winner ``explore()`` picks.
     """
 
     name = "grid"

@@ -361,7 +361,7 @@ def run_tune(
     completes byte-identically.
     """
     # Late imports: the engine imports the runner, the runner imports
-    # exploration, and exploration is a shim over this package — a
+    # exploration, and exploration imports from this package — a
     # top-level CellCache import would close that cycle.
     from repro.harness.engine import CellCache
     from repro.machine.select import resolve_machine

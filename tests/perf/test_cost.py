@@ -7,6 +7,7 @@ from repro.errors import HarnessError
 from repro.ir import Language
 from repro.libs.mathlib import LibraryCall, LibraryKind
 from repro.machine import Placement
+from repro.perf.batch import evaluate_placements
 from repro.perf.cost import CompilationCache, benchmark_model
 from repro.suites.base import Benchmark, MpiModel, ParallelKind, ScalingKind, WorkUnit
 from tests.conftest import build_gemm, build_stream
@@ -23,25 +24,61 @@ def _bench(units, parallel=ParallelKind.OPENMP, **kwargs):
     )
 
 
+def _evaluate_one(bench, variant, machine, placement, **kwargs):
+    return evaluate_placements(bench, variant, machine, (placement,), **kwargs)
+
+
+#: Both entry points check placements with the same code and messages.
+_ENTRY_POINTS = pytest.mark.parametrize(
+    "cost",
+    [
+        pytest.param(benchmark_model, id="benchmark_model"),
+        pytest.param(_evaluate_one, id="evaluate_placements"),
+    ],
+)
+
+
 class TestPlacementValidation:
-    def test_serial_benchmark_rejects_parallel_placement(self, a64fx_machine, gemm_kernel):
+    @_ENTRY_POINTS
+    def test_serial_benchmark_rejects_parallel_placement(
+        self, cost, a64fx_machine, gemm_kernel
+    ):
         bench = _bench((WorkUnit(kernel=gemm_kernel),), ParallelKind.SERIAL)
-        with pytest.raises(HarnessError):
-            benchmark_model(bench, "LLVM", a64fx_machine, Placement(1, 2))
+        with pytest.raises(HarnessError) as err:
+            cost(bench, "LLVM", a64fx_machine, Placement(1, 2))
+        assert str(err.value) == "test.t is serial; placement 1x2 invalid"
 
-    def test_openmp_benchmark_rejects_multirank(self, a64fx_machine, stream_kernel):
+    @_ENTRY_POINTS
+    def test_openmp_benchmark_rejects_multirank(self, cost, a64fx_machine, stream_kernel):
         bench = _bench((WorkUnit(kernel=stream_kernel),), ParallelKind.OPENMP)
-        with pytest.raises(HarnessError):
-            benchmark_model(bench, "LLVM", a64fx_machine, Placement(2, 2))
+        with pytest.raises(HarnessError) as err:
+            cost(bench, "LLVM", a64fx_machine, Placement(2, 2))
+        assert str(err.value) == "test.t has no MPI; placement 2x2 invalid"
 
-    def test_pow2_enforced(self, a64fx_machine, stream_kernel):
+    @_ENTRY_POINTS
+    def test_pow2_enforced(self, cost, a64fx_machine, stream_kernel):
         bench = _bench(
             (WorkUnit(kernel=stream_kernel),),
             ParallelKind.MPI_OPENMP,
             pow2_ranks=True,
         )
-        with pytest.raises(HarnessError):
-            benchmark_model(bench, "LLVM", a64fx_machine, Placement(3, 4))
+        with pytest.raises(HarnessError) as err:
+            cost(bench, "LLVM", a64fx_machine, Placement(3, 4))
+        assert str(err.value) == "test.t requires power-of-two ranks"
+
+    def test_first_invalid_placement_raises_before_any_compile(
+        self, a64fx_machine, stream_kernel
+    ):
+        bench = _bench(
+            (WorkUnit(kernel=stream_kernel),),
+            ParallelKind.MPI_OPENMP,
+            pow2_ranks=True,
+        )
+        cache = CompilationCache()
+        placements = (Placement(1, 12), Placement(3, 4), Placement(4, 12))
+        with pytest.raises(HarnessError, match="requires power-of-two ranks"):
+            evaluate_placements(bench, "LLVM", a64fx_machine, placements, cache=cache)
+        assert cache.compile_count == 0
 
 
 class TestScalingBehaviour:

@@ -16,7 +16,12 @@ Times the campaign engine's three load-bearing scenarios —
   (resilience machinery must not dominate);
 - ``telemetry_on_s``: the serial grid with the flight recorder on
   (spans + metrics + history sampling must stay cheap relative to the
-  work they observe)
+  work they observe);
+- ``explore_multi_s``: the ECP suite x the same variants, workers=1
+  (best-of-``REPEATS``).  PolyBench is pinned to one core, so each of
+  its cells has a single placement candidate; the ECP proxy apps
+  explore 220 placements per variant, so this is the scenario that
+  runs the vectorized placement evaluation and exploration scoring
 
 — writes the measurements to ``--out`` (``BENCH_engine.json``) and
 compares them against the committed baseline
@@ -61,6 +66,8 @@ from repro.faults import FaultPlan  # noqa: E402
 
 BASELINE = ROOT / "benchmarks" / "BENCH_engine.baseline.json"
 SUITES = ("polybench",)
+#: Multi-placement grid for ``explore_multi_s``.
+MULTI_SUITES = ("ecp",)
 VARIANTS = ("GNU", "FJtrad", "LLVM")
 REPEATS = 3
 
@@ -119,9 +126,13 @@ def measure() -> dict:
     _, results["telemetry_on_s"] = _time(
         lambda: CampaignSession(base.with_(telemetry=True)).run()
     )
+    _, results["explore_multi_s"] = _time(
+        lambda: CampaignSession(base.with_(suites=MULTI_SUITES)).run()
+    )
     return {
         "scenarios": {k: round(v, 4) for k, v in results.items()},
-        "grid": {"suites": list(SUITES), "variants": list(VARIANTS)},
+        "grid": {"suites": list(SUITES), "variants": list(VARIANTS),
+                 "multi_suites": list(MULTI_SUITES)},
         "repeats": REPEATS,
         "python": f"{sys.version_info.major}.{sys.version_info.minor}",
     }
